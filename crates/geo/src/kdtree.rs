@@ -125,20 +125,22 @@ impl KdTree {
             *best = Some((node.point, d2));
         }
         let axis = depth % 2;
-        let diff = if axis == 0 { query.x - p.x } else { query.y - p.y };
+        let (q, split) = if axis == 0 { (query.x, p.x) } else { (query.y, p.y) };
+        let diff: f64 = q - split;
         let (near, far) =
             if diff < 0.0 { (node.left, node.right) } else { (node.right, node.left) };
         if let Some(n) = near {
-            self.nearest_rec(n, depth + 1, query, best);
+            self.nearest_rec(n, depth.saturating_add(1), query, best);
         }
         // Cross the splitting plane only if it can still improve.
+        let cross_sq: f64 = diff * diff;
         let must_cross = match *best {
             None => true,
-            Some((_, bd2)) => diff * diff <= bd2,
+            Some((_, bd2)) => cross_sq <= bd2,
         };
         if must_cross {
             if let Some(f) = far {
-                self.nearest_rec(f, depth + 1, query, best);
+                self.nearest_rec(f, depth.saturating_add(1), query, best);
             }
         }
     }

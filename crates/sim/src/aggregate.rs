@@ -1,6 +1,5 @@
 use crate::HotspotGeometry;
 use ccdn_trace::{HotspotId, Request, VideoId};
-use std::collections::BTreeMap;
 
 /// Demand for one video at one hotspot during a timeslot — an entry of the
 /// paper's `λ_hv`.
@@ -45,30 +44,56 @@ pub struct SlotDemand {
 impl SlotDemand {
     /// Aggregates `requests` to their nearest hotspots.
     ///
+    /// Three passes over flat buffers:
+    ///
+    /// 1. [`HotspotGeometry::nearest_batch`] maps every request to its
+    ///    nearest hotspot, batching the requests of each grid cell.
+    /// 2. In request order, `λ_h` and the per-hotspot distance sums are
+    ///    accumulated. The sums are added in request order on purpose:
+    ///    f64 addition is not associative, and this order is the one the
+    ///    result is defined by.
+    /// 3. The video ids are counting-sorted by hotspot into one buffer;
+    ///    each hotspot's slice is sorted and run-length encoded into its
+    ///    exactly sized `λ_hv` vector.
+    ///
+    /// Cost: `O(m)` for the lookup and the counting sort of `m` requests,
+    /// plus `O(m_h log m_h)` to sort the `m_h` requests of each hotspot.
+    ///
     /// # Panics
     ///
     /// Panics if the geometry is empty while `requests` is not.
     pub fn aggregate(requests: &[Request], geometry: &HotspotGeometry) -> Self {
         let n = geometry.len();
         assert!(n > 0 || requests.is_empty(), "cannot aggregate onto zero hotspots");
+        let nearest = geometry.nearest_batch(requests, |r| r.location).unwrap_or_default();
         let mut per_hotspot = vec![0u64; n];
         let mut base_distance_sum = vec![0.0f64; n];
-        let mut maps: Vec<BTreeMap<VideoId, u64>> = vec![BTreeMap::new(); n];
-        for r in requests {
-            // With no hotspots there is nobody to attribute demand to;
-            // such requests can only ever be CDN-served and are skipped.
-            let Some((h, d)) = geometry.nearest(r.location) else { continue };
+        for &(h, d) in &nearest {
             per_hotspot[h.0] += 1;
             base_distance_sum[h.0] += d;
-            *maps[h.0].entry(r.video).or_insert(0) += 1;
         }
-        let per_video = maps
-            .into_iter()
-            .map(|m| {
-                let mut v: Vec<VideoDemand> =
-                    m.into_iter().map(|(video, count)| VideoDemand { video, count }).collect();
-                v.sort_unstable_by_key(|d| d.video);
-                v
+        // Counting sort by hotspot: `next[h]` walks hotspot `h`'s slice.
+        let mut next: Vec<usize> = per_hotspot
+            .iter()
+            .scan(0, |end, &load| {
+                let start = *end;
+                *end += load as usize;
+                Some(start)
+            })
+            .collect();
+        let mut videos = vec![VideoId(0); requests.len()];
+        for (r, &(h, _)) in requests.iter().zip(&nearest) {
+            videos[next[h.0]] = r.video;
+            next[h.0] += 1;
+        }
+        let mut rest = videos.as_mut_slice();
+        let per_video = per_hotspot
+            .iter()
+            .map(|&load| {
+                let (own, tail) = std::mem::take(&mut rest).split_at_mut(load as usize);
+                rest = tail;
+                own.sort_unstable();
+                run_lengths(own)
             })
             .collect();
         SlotDemand { per_hotspot, per_video, base_distance_sum, total: requests.len() as u64 }
@@ -217,11 +242,23 @@ impl SlotDemand {
     }
 }
 
+/// Run-length encodes sorted video ids into an exactly sized `λ_hv` list.
+fn run_lengths(sorted: &[VideoId]) -> Vec<VideoDemand> {
+    let runs = sorted.chunk_by(|a, b| a == b);
+    let mut demands = Vec::with_capacity(runs.clone().count());
+    demands.extend(runs.filter_map(|run| {
+        run.first().map(|&video| VideoDemand { video, count: run.len() as u64 })
+    }));
+    demands
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ccdn_geo::{Point, Rect};
     use ccdn_trace::{Hotspot, TraceConfig, UserId};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn two_hotspots() -> (Vec<Hotspot>, HotspotGeometry) {
         let region = Rect::paper_eval_region();
@@ -323,5 +360,107 @@ mod tests {
         let (_, geo) = two_hotspots();
         let d = SlotDemand::aggregate(&[], &geo);
         let _ = d.top_videos(HotspotId(0), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero hotspots")]
+    fn aggregating_onto_an_empty_geometry_panics() {
+        let geo = HotspotGeometry::new(Rect::paper_eval_region(), &[]);
+        let _ = SlotDemand::aggregate(&[req(1.0, 1.0, 1)], &geo);
+    }
+
+    #[test]
+    fn empty_geometry_with_no_requests_is_empty() {
+        let geo = HotspotGeometry::new(Rect::paper_eval_region(), &[]);
+        let d = SlotDemand::aggregate(&[], &geo);
+        assert_eq!(d.hotspot_count(), 0);
+        assert_eq!(d.total_requests(), 0);
+    }
+
+    /// The definition `aggregate` must reproduce bit for bit: a brute-force
+    /// nearest scan (ties to the lower id) and a `BTreeMap` per hotspot,
+    /// with distances summed in request order.
+    fn reference_aggregate(requests: &[Request], hotspots: &[Hotspot]) -> SlotDemand {
+        let n = hotspots.len();
+        let mut per_hotspot = vec![0u64; n];
+        let mut base_distance_sum = vec![0.0f64; n];
+        let mut maps: Vec<BTreeMap<VideoId, u64>> = vec![BTreeMap::new(); n];
+        for r in requests {
+            let (h, d) = hotspots
+                .iter()
+                .enumerate()
+                .map(|(i, hs)| (i, hs.location.distance(r.location)))
+                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+                .unwrap();
+            per_hotspot[h] += 1;
+            base_distance_sum[h] += d;
+            *maps[h].entry(r.video).or_insert(0) += 1;
+        }
+        let per_video = maps
+            .into_iter()
+            .map(|m| m.into_iter().map(|(video, count)| VideoDemand { video, count }).collect())
+            .collect();
+        SlotDemand { per_hotspot, per_video, base_distance_sum, total: requests.len() as u64 }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_aggregate_matches_brute_force_reference(
+            region in prop::sample::select(vec![
+                Rect::paper_eval_region(),
+                Rect::new(Point::new(-40.0, 10.0), Point::new(60.0, 70.0)),
+            ]),
+            spots in prop::collection::vec((-0.3f64..1.3, -0.3f64..1.3), 1..40),
+            dups in prop::collection::vec(0usize..1000, 0..8),
+            single in any::<bool>(),
+            reqs in prop::collection::vec(((-0.3f64..1.3, -0.3f64..1.3), 0u32..25), 0..400),
+            request_count in prop::sample::select(vec![0usize, 1, 400]),
+        ) {
+            // Coordinates are fractions of the region, reaching 30 % past
+            // each side so hotspots and users also lie outside it.
+            let at = |(fx, fy): (f64, f64)| {
+                let (min, max) = (region.min(), region.max());
+                Point::new(min.x + fx * (max.x - min.x), min.y + fy * (max.y - min.y))
+            };
+            let mut locations: Vec<Point> = spots.into_iter().map(at).collect();
+            let copies: Vec<Point> = dups.iter().map(|&k| locations[k % locations.len()]).collect();
+            locations.extend(copies);
+            if single {
+                locations.truncate(1);
+            }
+            let hotspots: Vec<Hotspot> = locations
+                .into_iter()
+                .enumerate()
+                .map(|(i, location)| Hotspot {
+                    id: HotspotId(i),
+                    location,
+                    service_capacity: 10,
+                    cache_capacity: 5,
+                })
+                .collect();
+            // Some users stand exactly on a hotspot (zero-distance ties).
+            let mut requests: Vec<Request> = reqs
+                .into_iter()
+                .map(|(frac, video)| {
+                    let p = at(frac);
+                    Request { user: UserId(0), video: VideoId(video), timeslot: 0, location: p }
+                })
+                .collect();
+            requests.extend(hotspots.iter().map(|h| Request {
+                user: UserId(1),
+                video: VideoId(3),
+                timeslot: 0,
+                location: h.location,
+            }));
+            requests.truncate(request_count);
+            let geo = HotspotGeometry::new(region, &hotspots);
+            let got = SlotDemand::aggregate(&requests, &geo);
+            let want = reference_aggregate(&requests, &hotspots);
+            let bits = |d: &SlotDemand| -> Vec<u64> {
+                d.base_distance_sum.iter().map(|s| s.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(got, want);
+        }
     }
 }

@@ -91,6 +91,18 @@ impl HotspotGeometry {
         self.grid.nearest(point).map(|(i, d)| (HotspotId(i), d))
     }
 
+    /// [`HotspotGeometry::nearest`] of every query at once, in query
+    /// order, through the cell-batched [`GridIndex::nearest_batch`].
+    /// `None` only for an empty deployment.
+    pub fn nearest_batch<T>(
+        &self,
+        queries: &[T],
+        locate: impl Fn(&T) -> Point,
+    ) -> Option<Vec<(HotspotId, f64)>> {
+        let found = self.grid.nearest_batch(queries, locate)?;
+        Some(found.into_iter().map(|(i, d)| (HotspotId(i), d)).collect())
+    }
+
     /// Hotspots within `radius_km` of hotspot `h`, **excluding** `h`
     /// itself, in ascending id order. An out-of-range id yields no
     /// matches.

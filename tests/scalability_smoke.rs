@@ -19,6 +19,17 @@
 use ccdn_core::{Rbcaer, RbcaerConfig};
 use ccdn_sim::Runner;
 use ccdn_trace::TraceConfig;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serialises the tests of this binary. The monotonicity test diffs the
+/// process-global `ccdn-obs` registry around each run, so a planner run of
+/// a sibling test on another thread would leak its counters into the diff.
+static OBS_REGISTRY: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock; the registry is still usable.
+    OBS_REGISTRY.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Hotspot counts with requests scaled in proportion, tiny enough for a
 /// debug-profile test run.
@@ -35,6 +46,7 @@ fn plan_work(report: &ccdn_obs::ObsReport) -> u64 {
 
 #[test]
 fn plan_work_scales_monotonically_with_deployment_size() {
+    let _registry = exclusive();
     ccdn_obs::set_enabled(true);
     let mut curve = Vec::new();
     for (hotspots, requests) in SIZES {
@@ -71,6 +83,7 @@ fn plan_work_scales_monotonically_with_deployment_size() {
 
 #[test]
 fn scalability_sweep_is_thread_count_invariant_at_small_n() {
+    let _registry = exclusive();
     // The same sweep, re-planned at 1/2/8 worker threads: reports must
     // be identical (the scalability binary asserts this at paper scale;
     // this keeps the property in the tier-1 loop).
