@@ -15,6 +15,9 @@
 //! and commit the rewritten fixtures.
 
 use ccdn_bench::figures::{self, FigureData};
+use ccdn_chaos::{Backoff, ChaosConfig, FaultPlan};
+use ccdn_core::{Rbcaer, RbcaerConfig};
+use ccdn_sim::{ChaosOptions, Ewma, FailureModel, OnlineReport, OnlineRunner};
 use std::fs;
 use std::path::PathBuf;
 
@@ -95,6 +98,73 @@ fn fig8_matches_golden() {
 #[test]
 fn balance_matches_golden() {
     check(&figures::balance(&figures::golden_config().with_slot_count(1)).csvs);
+}
+
+/// One CSV row per slot of an online run: serving split, delta
+/// replication, and every failure/chaos tally.
+fn online_block(name: &'static str, report: &OnlineReport) -> FigureData {
+    let rows = report
+        .slots
+        .iter()
+        .map(|s| {
+            let m = &s.metrics;
+            format!(
+                "{},{},{},{},{},{},{},{},{},{},{},{:.6}",
+                s.slot,
+                m.total_requests,
+                m.hotspot_served,
+                m.cdn_served,
+                m.replicas,
+                s.failed_over,
+                s.orphaned,
+                s.disrupted,
+                s.origin_spilled,
+                u8::from(s.degraded),
+                s.offline_hotspots,
+                s.forecast_error
+            )
+        })
+        .collect();
+    FigureData {
+        name,
+        header: "slot,requests,hotspot_served,cdn_served,replicas,failed_over,orphaned,\
+                 disrupted,origin_spilled,degraded,offline_hotspots,forecast_error",
+        rows,
+    }
+}
+
+/// Pins `OnlineRunner` under both fault planes: the failure model alone,
+/// and Markov failures with regional outages plus a chaos fault plan in
+/// degraded mode with a failover chain budget.
+#[test]
+fn online_faults_match_golden() {
+    let trace = figures::golden_config().generate();
+    let run = |runner: OnlineRunner<'_>| {
+        runner
+            .run(&mut Rbcaer::new(RbcaerConfig::default()), &mut Ewma::new(0.3))
+            .expect("online run validates")
+    };
+
+    let failures = run(OnlineRunner::new(&trace).with_failures(FailureModel::iid(0.2, 7).unwrap()));
+    let plan = FaultPlan::new(ChaosConfig::at_intensity(11, 0.5).unwrap()).unwrap();
+    let chaos = run(OnlineRunner::new(&trace)
+        .with_failures(
+            FailureModel::markov(8.0, 2.0, 7).unwrap().with_regional_outages(0.1, 1.5).unwrap(),
+        )
+        .with_chaos(
+            ChaosOptions::new(plan)
+                .with_backoff(Backoff::new(1, 4))
+                .with_degraded_mode()
+                .with_chain_budget(3),
+        ));
+
+    // The fixtures must exercise every fault outcome they pin.
+    assert!(failures.disrupted > 0, "the failures-only run disrupted nothing");
+    assert!(chaos.disrupted > 0, "the chaos run disrupted nothing");
+    assert!(chaos.origin_spilled > 0, "the chaos run never hit its chain budget");
+    assert!(chaos.degraded_slots > 0, "the chaos run never served degraded");
+
+    check(&[online_block("online_failures", &failures), online_block("online_chaos", &chaos)]);
 }
 
 /// The harness must fail on drift, not just on missing fixtures: corrupt
