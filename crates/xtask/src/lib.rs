@@ -1,6 +1,6 @@
 //! Workspace automation for the crowdsourced-CDN reproduction.
 //!
-//! Three tools share this crate:
+//! Two tools share this crate:
 //!
 //! - **ccdn-lint** ([`lint`]) — token-level rules that clippy cannot
 //!   express (no panics in library code, no hash-ordered iteration in
@@ -10,17 +10,12 @@
 //!   entry points, panic reachability with full call chains, unused
 //!   waiver detection, and `pub` API error-type discipline, all gated
 //!   by the committed `lint-baseline.json` ratchet.
-//! - **bench-ratchet** ([`bench`]) — the perf-regression ratchet: runs
-//!   the fixed-seed `ccdn-bench` workloads, exact-matches the
-//!   deterministic `ccdn-obs` work metrics and bands the timings against
-//!   the committed `BENCH_baseline.json`.
 //!
 //! Both are dependency-free (std plus the workspace's own `ccdn-obs`
 //! JSON writer) and deterministic: two runs over the same tree produce
 //! byte-identical output.
 
 pub mod analyze;
-pub mod bench;
 pub mod bounds;
 pub mod graph;
 pub mod hotpaths;

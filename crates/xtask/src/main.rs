@@ -1,23 +1,20 @@
 //! Workspace automation tasks (`cargo xtask` pattern, offline, std-only).
 //!
-//! Three subcommands:
+//! Two subcommands:
 //!
 //! - `lint` — the ccdn-lint token-level checker
 //!   (`cargo run -p xtask -- lint`); see [`xtask::lint`].
 //! - `analyze` — the ccdn-analyze call-graph passes
 //!   (`cargo run -p xtask -- analyze [--json] [--write-baseline]`); see
 //!   [`xtask::analyze`].
-//! - `bench-ratchet` — the fixed-seed perf-regression ratchet
-//!   (`cargo run -p xtask -- bench-ratchet [--write-baseline]
-//!   [--report PATH]`); see [`xtask::bench`].
 //!
 //! Exit codes: 0 clean, 1 findings (lint) or baseline mismatch
-//! (analyze, bench-ratchet), 2 usage or runtime error.
+//! (analyze), 2 usage or runtime error.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use xtask::{analyze, bench, lint};
+use xtask::{analyze, lint};
 
 fn usage() {
     eprintln!("usage: cargo run -p xtask -- <subcommand> [options] [ROOT]");
@@ -38,12 +35,6 @@ fn usage() {
     eprintln!("    --explain KEY          print the interval derivation chain behind a");
     eprintln!("                           panic-reach / unchecked-arith-reach /");
     eprintln!("                           overflow-risk / proven-safe key");
-    eprintln!("  bench-ratchet            run the fixed-seed ccdn-bench workloads and");
-    eprintln!("                           diff the ccdn-obs work metrics (exact) and");
-    eprintln!("                           timings (noise-banded) against the committed");
-    eprintln!("                           BENCH_baseline.json");
-    eprintln!("    --write-baseline       regenerate BENCH_baseline.json from this run");
-    eprintln!("    --report PATH          also write the full comparison report (JSON)");
 }
 
 /// Why the workspace root could not be determined.
@@ -174,66 +165,6 @@ fn run_analyze(root: &Path, json: bool, write_baseline: bool) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn run_bench_ratchet(root: &Path, write_baseline: bool, report: Option<&Path>) -> ExitCode {
-    let measured = match bench::collect_measurements(root) {
-        Ok(measured) => measured,
-        Err(err) => {
-            eprintln!("bench-ratchet: error: {err}");
-            return ExitCode::from(2);
-        }
-    };
-    let baseline_path = root.join(bench::BASELINE_FILE);
-    if write_baseline {
-        let baseline = bench::Baseline { workloads: measured, ..bench::Baseline::default() };
-        if let Err(err) = std::fs::write(&baseline_path, bench::baseline_json(&baseline)) {
-            eprintln!("bench-ratchet: error: writing {}: {err}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "bench-ratchet: wrote {} ({} workload(s) baselined)",
-            baseline_path.display(),
-            baseline.workloads.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let text = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!(
-                "bench-ratchet: error: reading {}: {err} (generate it with \
-                 `cargo xtask bench-ratchet --write-baseline`)",
-                baseline_path.display()
-            );
-            return ExitCode::from(2);
-        }
-    };
-    let baseline = match bench::parse_baseline(&text) {
-        Ok(baseline) => baseline,
-        Err(err) => {
-            eprintln!("bench-ratchet: error: {err}");
-            return ExitCode::from(2);
-        }
-    };
-    let findings = bench::compare(&baseline, &measured);
-    if let Some(path) = report {
-        if let Err(err) = std::fs::write(path, bench::report_json(&findings, &measured)) {
-            eprintln!("bench-ratchet: error: writing {}: {err}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("bench-ratchet: wrote report {}", path.display());
-    }
-    for finding in &findings {
-        println!("bench-ratchet: {finding}");
-    }
-    if findings.is_empty() {
-        println!("bench-ratchet: clean ({} workload(s) within baseline)", baseline.workloads.len());
-        ExitCode::SUCCESS
-    } else {
-        println!("bench-ratchet: {} finding(s) vs {}", findings.len(), bench::BASELINE_FILE);
-        ExitCode::FAILURE
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -295,41 +226,6 @@ fn main() -> ExitCode {
                 };
             }
             run_analyze(&root, json, write_baseline)
-        }
-        Some("bench-ratchet") => {
-            let mut write_baseline = false;
-            let mut report: Option<PathBuf> = None;
-            let mut explicit_root = None;
-            let mut rest = args[1..].iter();
-            while let Some(arg) = rest.next() {
-                match arg.as_str() {
-                    "--write-baseline" => write_baseline = true,
-                    "--report" => match rest.next() {
-                        Some(path) => report = Some(PathBuf::from(path)),
-                        None => {
-                            eprintln!("bench-ratchet: error: --report needs a PATH");
-                            usage();
-                            return ExitCode::from(2);
-                        }
-                    },
-                    other if !other.starts_with('-') && explicit_root.is_none() => {
-                        explicit_root = Some(PathBuf::from(other));
-                    }
-                    other => {
-                        eprintln!("bench-ratchet: error: unknown option `{other}`");
-                        usage();
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            let root = match workspace_root(explicit_root) {
-                Ok(root) => root,
-                Err(err) => {
-                    eprintln!("bench-ratchet: error: {err}");
-                    return ExitCode::from(2);
-                }
-            };
-            run_bench_ratchet(&root, write_baseline, report.as_deref())
         }
         _ => {
             usage();

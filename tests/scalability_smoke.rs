@@ -4,15 +4,15 @@
 //! (`cargo run --release -p ccdn-bench --bin scalability`) at
 //! paper-scale sizes; this suite shrinks the same sweep — `Runner` +
 //! RBCAer over growing hotspot counts — to seconds and asserts the
-//! *scaling shape* survives the CSR/Dial rework:
+//! *scaling shape* survives the CSR rework:
 //!
 //! - every size completes and validates end to end;
 //! - the deterministic plan-work proxy (solver counters: Dijkstra and
 //!   Dinic rounds, placements) grows monotonically with the deployment
 //!   size. Wall-clock plan time is proportional to exactly these
 //!   counters but too noisy to compare on shared CI machines, so the
-//!   smoke test pins the counter curve and leaves the timing curve to
-//!   the bench-ratchet gate's banded check;
+//!   smoke test pins the counter curve and leaves timing to the
+//!   repository benchmark (`benchmark/`), which bounds plan time;
 //! - measured plan time stays nonzero and finite at every size (the
 //!   spans actually fire under the arena-reuse refactor).
 
