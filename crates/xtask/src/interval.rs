@@ -556,7 +556,7 @@ impl<'a> Engine<'a> {
 
     /// Scans every file for `const NAME: T = expr;` items and evaluates
     /// the simple ones (literals and arithmetic over earlier consts) so
-    /// expressions like `DIAL_RING - 1` resolve.
+    /// an item like `const MASK: usize = SIZE - 1;` resolves.
     fn scan_consts(&self) -> Vec<BTreeMap<String, AbsVal>> {
         let mut all = Vec::with_capacity(self.index.files.len());
         for file in &self.index.files {
