@@ -1,10 +1,9 @@
 //! Criterion benches for the end-to-end schedulers — the component-level
 //! counterpart of Fig. 8's running-time comparison, plus the RBCAer
 //! ablations called out in DESIGN.md (content aggregation on/off, guide
-//! cost model, MCMF algorithm).
+//! cost model, θ₂ reach).
 
 use ccdn_core::{GuideCost, LocalRandom, Nearest, Rbcaer, RbcaerConfig};
-use ccdn_flow::McmfAlgorithm;
 use ccdn_sim::{Runner, Scheme};
 use ccdn_trace::{Trace, TraceConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -51,7 +50,6 @@ fn bench_rbcaer_ablations(c: &mut Criterion) {
             "guide_literal",
             RbcaerConfig { guide_cost: GuideCost::PaperLiteral, ..RbcaerConfig::default() },
         ),
-        ("mcmf_spfa", RbcaerConfig { mcmf: McmfAlgorithm::Spfa, ..RbcaerConfig::default() }),
         ("wide_theta", RbcaerConfig { theta2_km: 5.0, ..RbcaerConfig::default() }),
     ];
     for (name, config) in variants {

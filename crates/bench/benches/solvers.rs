@@ -1,8 +1,8 @@
-//! Criterion benches for the algorithmic substrates: MCMF (both
-//! algorithms), Dinic, hierarchical clustering, and the simplex LP solver.
+//! Criterion benches for the algorithmic substrates: MCMF (successive
+//! shortest paths), Dinic, hierarchical clustering, and the simplex LP
+//! solver.
 //!
-//! These back the running-time claims of Fig. 8 at the component level and
-//! the MCMF-algorithm ablation called out in DESIGN.md.
+//! These back the running-time claims of Fig. 8 at the component level.
 
 use ccdn_cluster::{hierarchical_cluster, DistanceMatrix, Linkage};
 use ccdn_flow::{FlowNetwork, McmfAlgorithm};
@@ -38,12 +38,6 @@ fn bench_mcmf(c: &mut Criterion) {
             b.iter(|| {
                 let mut net = net.clone();
                 black_box(net.min_cost_max_flow(s, t, McmfAlgorithm::SspDijkstra).unwrap())
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("spfa", n), &n, |b, _| {
-            b.iter(|| {
-                let mut net = net.clone();
-                black_box(net.min_cost_max_flow(s, t, McmfAlgorithm::Spfa).unwrap())
             })
         });
         group.bench_with_input(BenchmarkId::new("dinic_maxflow", n), &n, |b, _| {

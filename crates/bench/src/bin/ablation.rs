@@ -5,7 +5,6 @@
 //! - guide-arc cost model (mean replaced-arc latency vs the paper's
 //!   literal `Σφ/|H|` formula);
 //! - clustering linkage (complete / average / single);
-//! - MCMF algorithm (Dijkstra-with-potentials vs SPFA);
 //! - threshold schedule (`δd` fine vs coarse, wide θ₂);
 //! - replication budget `B_peak`.
 
@@ -13,7 +12,6 @@ use ccdn_bench::table::{f3, Table};
 use ccdn_bench::{announce_csv, init_threads, obs_init, write_csv};
 use ccdn_cluster::Linkage;
 use ccdn_core::{GuideCost, Rbcaer, RbcaerConfig};
-use ccdn_flow::McmfAlgorithm;
 use ccdn_sim::Runner;
 use ccdn_trace::TraceConfig;
 
@@ -32,7 +30,6 @@ fn main() {
         ("guide cost: paper literal", RbcaerConfig { guide_cost: GuideCost::PaperLiteral, ..base }),
         ("linkage: average", RbcaerConfig { linkage: Linkage::Average, ..base }),
         ("linkage: single", RbcaerConfig { linkage: Linkage::Single, ..base }),
-        ("mcmf: spfa", RbcaerConfig { mcmf: McmfAlgorithm::Spfa, ..base }),
         ("delta 0.1 km (fine sweep)", RbcaerConfig { delta_km: 0.1, ..base }),
         ("theta2 5 km (wide reach)", RbcaerConfig { theta2_km: 5.0, ..base }),
         ("B_peak = 20k replicas", RbcaerConfig { replication_budget: Some(20_000), ..base }),

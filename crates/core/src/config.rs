@@ -1,5 +1,4 @@
 use ccdn_cluster::Linkage;
-use ccdn_flow::McmfAlgorithm;
 use std::fmt;
 
 /// A scheduler configuration rejected by validation, carrying a
@@ -154,8 +153,6 @@ pub struct RbcaerConfig {
     /// Clustering linkage (paper-faithful default: complete — the only
     /// linkage that guarantees the pairwise intra-cluster bound).
     pub linkage: Linkage,
-    /// MCMF algorithm used for every balancing solve.
-    pub mcmf: McmfAlgorithm,
     /// Guide-arc cost model.
     pub guide_cost: GuideCost,
     /// Enables the content-aggregation stage (`Gc` + Procedure 1 ordering).
@@ -179,7 +176,6 @@ impl Default for RbcaerConfig {
             top_fraction: 0.2,
             cluster_threshold: 0.5,
             linkage: Linkage::Complete,
-            mcmf: McmfAlgorithm::SspDijkstra,
             guide_cost: GuideCost::default(),
             content_aggregation: true,
             replication_budget: None,

@@ -1,5 +1,6 @@
 use crate::config::RbcaerConfig;
 use crate::rbcaer::{balancing, clustering, procedure};
+use ccdn_flow::McmfAlgorithm;
 use ccdn_geo::Rect;
 use ccdn_sim::{Scheme, SlotDecision, SlotInput};
 use ccdn_trace::HotspotId;
@@ -257,8 +258,10 @@ impl Scheme for HierarchicalRbcaer {
                     pair_edges.push((e, a, b));
                 }
             }
-            // lint: allow(no-panic): source and sink are the distinct nodes 0 and 1
-            let _ = net.min_cost_max_flow(source, sink, self.config.mcmf).expect("endpoints");
+            let _ = net
+                .min_cost_max_flow(source, sink, McmfAlgorithm::SspDijkstra)
+                // lint: allow(no-panic): source and sink are the distinct nodes 0 and 1
+                .expect("endpoints");
 
             // Expand region flows to hotspot pairs: largest residuals
             // first, nearest cross pairs first.

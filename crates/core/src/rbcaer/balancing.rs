@@ -2,7 +2,7 @@
 //! construction and the Algorithm-1 threshold loop (§IV-A/§IV-C).
 
 use crate::config::{GuideCost, RbcaerConfig};
-use ccdn_flow::{EdgeId, FlowNetwork};
+use ccdn_flow::{EdgeId, FlowNetwork, McmfAlgorithm};
 use ccdn_obs::Counter;
 use ccdn_par::Threads;
 use ccdn_sim::SlotInput;
@@ -537,7 +537,7 @@ fn solve_round(
     let pair_edges = std::mem::take(&mut builder.pair_edges);
     let GraphBuilder { net, source, sink, .. } = builder;
     let _ = net
-        .min_cost_max_flow(source, sink, config.mcmf)
+        .min_cost_max_flow(source, sink, McmfAlgorithm::SspDijkstra)
         // lint: allow(no-panic): builder endpoints are two distinct freshly added nodes
         .expect("valid endpoints");
     pair_edges

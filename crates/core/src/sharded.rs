@@ -46,7 +46,7 @@
 use crate::config::RbcaerConfig;
 use crate::rbcaer::{balancing, clustering, procedure};
 use crate::ConfigError;
-use ccdn_flow::FlowNetwork;
+use ccdn_flow::{FlowNetwork, McmfAlgorithm};
 use ccdn_geo::{GridIndex, Point};
 use ccdn_obs::Counter;
 use ccdn_par::Threads;
@@ -608,7 +608,7 @@ fn border_reconcile(
             net.add_edge(under_node(us), sink, cap, 0.0).expect("valid edge");
         }
         // lint: allow(no-panic): source and sink are the distinct nodes 0 and 1
-        let _ = net.min_cost_max_flow(source, sink, config.mcmf).expect("endpoints");
+        let _ = net.min_cost_max_flow(source, sink, McmfAlgorithm::SspDijkstra).expect("endpoints");
 
         for (e, i, j) in pair_edges {
             let f = net.edge_flow(e);

@@ -4,7 +4,6 @@
 
 use ccdn_core::validate::check_plan;
 use ccdn_core::{GuideCost, Rbcaer, RbcaerConfig};
-use ccdn_flow::McmfAlgorithm;
 use ccdn_sim::{HotspotGeometry, SlotDemand, SlotInput};
 use ccdn_trace::TraceConfig;
 use proptest::prelude::*;
@@ -36,18 +35,12 @@ fn config_strategy() -> impl Strategy<Value = RbcaerConfig> {
     (
         any::<bool>(),
         prop::sample::select(vec![GuideCost::MeanLatency, GuideCost::PaperLiteral]),
-        prop::sample::select(vec![
-            McmfAlgorithm::SspDijkstra,
-            McmfAlgorithm::Spfa,
-            McmfAlgorithm::CycleCanceling,
-        ]),
         prop::sample::select(vec![1.5, 3.0, 8.0]),
     )
-        .prop_map(|(content_aggregation, guide_cost, mcmf, theta2_km)| RbcaerConfig {
+        .prop_map(|(content_aggregation, guide_cost, theta2_km)| RbcaerConfig {
             theta2_km,
             content_aggregation,
             guide_cost,
-            mcmf,
             ..RbcaerConfig::default()
         })
 }

@@ -13,10 +13,10 @@
 //!   the achievable `maxflow` bound of Algorithm 1 and as an independent
 //!   oracle in tests;
 //! - [`FlowNetwork::min_cost_max_flow`]: successive shortest paths with
-//!   either Dijkstra + Johnson potentials ([`McmfAlgorithm::SspDijkstra`],
-//!   the default) or an SPFA/Bellman–Ford queue
-//!   ([`McmfAlgorithm::Spfa`], the classical Ford–Fulkerson-family solver
-//!   the paper cites \[19\]). Both compute identical optima.
+//!   Dijkstra + Johnson potentials over a binary heap
+//!   ([`McmfAlgorithm::SspDijkstra`], the default), or Klein's cycle
+//!   canceling ([`McmfAlgorithm::CycleCanceling`]), kept as an independent
+//!   oracle for the tests. Both compute identical optima.
 //!
 //! # Examples
 //!

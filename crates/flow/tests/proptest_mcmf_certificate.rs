@@ -27,11 +27,7 @@ proptest! {
     fn every_algorithm_produces_a_certified_optimum(
         (net, s, t) in network_strategy(),
     ) {
-        for algo in [
-            McmfAlgorithm::SspDijkstra,
-            McmfAlgorithm::Spfa,
-            McmfAlgorithm::CycleCanceling,
-        ] {
+        for algo in [McmfAlgorithm::SspDijkstra, McmfAlgorithm::CycleCanceling] {
             let mut solved = net.clone();
             let result = solved.min_cost_max_flow(s, t, algo).expect("valid endpoints");
             prop_assert!(result.flow >= 0);
@@ -45,14 +41,10 @@ proptest! {
         (net, s, t) in network_strategy(),
     ) {
         let mut a = net.clone();
-        let mut b = net.clone();
         let mut c = net;
         let ra = a.min_cost_max_flow(s, t, McmfAlgorithm::SspDijkstra).expect("valid endpoints");
-        let rb = b.min_cost_max_flow(s, t, McmfAlgorithm::Spfa).expect("valid endpoints");
         let rc = c.min_cost_max_flow(s, t, McmfAlgorithm::CycleCanceling).expect("valid endpoints");
-        prop_assert_eq!(ra.flow, rb.flow);
         prop_assert_eq!(ra.flow, rc.flow);
-        prop_assert!((ra.cost - rb.cost).abs() < 1e-6, "{} vs {}", ra.cost, rb.cost);
         prop_assert!((ra.cost - rc.cost).abs() < 1e-6, "{} vs {}", ra.cost, rc.cost);
     }
 

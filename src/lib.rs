@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`geo`] | `ccdn-geo` | planar points, regions, grid spatial index |
 //! | [`stats`] | `ccdn-stats` | CDFs, quantiles, Spearman/Pearson, Zipf |
-//! | [`flow`] | `ccdn-flow` | Dinic max-flow, min-cost max-flow (SSP/SPFA) |
+//! | [`flow`] | `ccdn-flow` | Dinic max-flow, min-cost max-flow (SSP) |
 //! | [`cluster`] | `ccdn-cluster` | Jaccard, agglomerative clustering |
 //! | [`lp`] | `ccdn-lp` | two-phase simplex LP solver |
 //! | [`trace`] | `ccdn-trace` | synthetic workload generation |
