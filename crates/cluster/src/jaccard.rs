@@ -64,6 +64,53 @@ pub fn jaccard_counts<T: Ord>(a: &[T], b: &[T]) -> (usize, usize) {
     (inter, a.len() + b.len() - inter)
 }
 
+/// The dense row-major `n × n` matrix of `Jd(i, j) = 1 − jaccard(sets[i],
+/// sets[j])`, zero on the diagonal — the working matrix
+/// [`cluster_jaccard`](crate::cluster_jaccard) clusters.
+///
+/// Sorting the `(element, set)` postings lists each element's sets in
+/// ascending order, and every pair `lo < hi` inside one element's run
+/// adds one to entry `(lo, hi)`. Each count then becomes
+/// `1 − inter / union` with `union = |A| + |B| − inter`: the integers of
+/// [`jaccard_counts`], so the same bits as [`jaccard`], and distance 0
+/// between two empty sets. No second `n²`-sized buffer is allocated.
+// lint: allow(panic-reach, unchecked-arith-reach): set ids index rows and columns of the
+// n × n matrix and are below n by construction; the integer sums add two set lengths
+pub(crate) fn jaccard_distance_rows<T: Ord, S: AsRef<[T]>>(sets: &[S]) -> Vec<f64> {
+    let n = sets.len();
+    let mut postings: Vec<(&T, usize)> =
+        Vec::with_capacity(sets.iter().map(|s| s.as_ref().len()).sum());
+    for (s, set) in sets.iter().enumerate() {
+        let set = set.as_ref();
+        debug_assert!(set.windows(2).all(|w| w[0] < w[1]), "set {s} must be sorted+dedup");
+        postings.extend(set.iter().map(|e| (e, s)));
+    }
+    postings.sort_unstable();
+
+    // A cell count that overflows could not be allocated either.
+    let mut dist = vec![0.0f64; n.saturating_mul(n)];
+    let mut rows: Vec<&mut [f64]> = dist.chunks_exact_mut(n.max(1)).collect();
+    for mut run in postings.chunk_by(|x, y| x.0 == y.0) {
+        while let [(_, lo), tail @ ..] = run {
+            for &(_, hi) in tail {
+                rows[*lo][hi] += 1.0;
+            }
+            run = tail;
+        }
+    }
+    for lo in 0..n {
+        let len_lo = sets[lo].as_ref().len();
+        for hi in (lo + 1)..n {
+            let inter = rows[lo][hi];
+            let union = (len_lo + sets[hi].as_ref().len()) as f64 - inter;
+            let d = if union > 0.0 { 1.0 - inter / union } else { 0.0 };
+            rows[lo][hi] = d;
+            rows[hi][lo] = d;
+        }
+    }
+    dist
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,6 +171,21 @@ mod tests {
             prop_assert!((jaccard(&av, &bv) - expected).abs() < 1e-12);
             if union > 0 {
                 prop_assert_eq!(jaccard_counts(&av, &bv), (inter, union));
+            }
+        }
+
+        #[test]
+        fn prop_distance_rows_match_jaccard_bit_for_bit(
+            raw in prop::collection::vec(prop::collection::btree_set(0u32..16, 0..8), 0..24),
+        ) {
+            let sets: Vec<Vec<u32>> = raw.iter().map(|s| s.iter().copied().collect()).collect();
+            let n = sets.len();
+            let rows = jaccard_distance_rows(&sets);
+            prop_assert_eq!(rows.len(), n * n);
+            for (k, &d) in rows.iter().enumerate() {
+                let (i, j) = (k / n, k % n);
+                let expected = if i == j { 0.0 } else { 1.0 - jaccard(&sets[i], &sets[j]) };
+                prop_assert_eq!(d.to_bits(), expected.to_bits(), "entry ({}, {})", i, j);
             }
         }
 

@@ -15,19 +15,28 @@
 //! in the same cluster are within distance 0.5 of each other.
 //!
 //! This crate provides [`jaccard`] over sorted id sets, a packed
-//! [`DistanceMatrix`], and [`hierarchical_cluster`] with selectable
-//! [`Linkage`].
+//! [`DistanceMatrix`], [`hierarchical_cluster`] with selectable
+//! [`Linkage`], and [`cluster_jaccard`], which clusters sets on `Jd`
+//! directly. Both clusterers share one merge loop: each row caches its
+//! nearest live neighbour, so a merge rescans only the rows it touched
+//! instead of the whole matrix (`O(n²)` typical, `O(n³)` worst case), and
+//! the partition is exactly that of a full rescan per merge.
+//! [`cluster_jaccard`] counts set intersections from sorted postings
+//! straight into its dense working matrix, so it builds no packed matrix
+//! and walks no set pair.
 //!
 //! # Examples
 //!
 //! ```
-//! use ccdn_cluster::{hierarchical_cluster, jaccard, DistanceMatrix, Linkage};
+//! use ccdn_cluster::{cluster_jaccard, hierarchical_cluster, jaccard, DistanceMatrix, Linkage};
 //!
 //! let sets: Vec<Vec<u32>> = vec![vec![1, 2, 3], vec![2, 3, 4], vec![100, 101, 102]];
 //! let dm = DistanceMatrix::from_fn(3, |i, j| 1.0 - jaccard(&sets[i], &sets[j]));
 //! let clusters = hierarchical_cluster(&dm, Linkage::Complete, 0.6);
 //! // The two overlapping sets merge; the disjoint one stays alone.
 //! assert_eq!(clusters.len(), 2);
+//! // The same partition, straight from the sets.
+//! assert_eq!(cluster_jaccard(&sets, Linkage::Complete, 0.6), clusters);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -37,6 +46,6 @@ mod agglomerative;
 mod jaccard;
 mod matrix;
 
-pub use agglomerative::{hierarchical_cluster, Linkage};
+pub use agglomerative::{cluster_jaccard, hierarchical_cluster, Linkage};
 pub use jaccard::{jaccard, jaccard_counts};
 pub use matrix::DistanceMatrix;

@@ -159,8 +159,8 @@ impl Scheme for HierarchicalRbcaer {
             .map(|h| partition.region_of_point(input.geometry.location(HotspotId(h))))
             .collect();
 
-        // Cluster each region independently — O(Σ n_r³) instead of the
-        // flat scheduler's O(n³), which dominates at large deployments.
+        // Cluster each region independently: Σ n_r² working-matrix
+        // entries instead of the flat scheduler's n².
         let clusters = if self.config.content_aggregation {
             let mut cluster_of = vec![0usize; n];
             let mut next_id = 0;
@@ -169,13 +169,11 @@ impl Scheme for HierarchicalRbcaer {
                 if members.is_empty() {
                     continue;
                 }
-                next_id += clustering::content_clusters_subset(
-                    input,
-                    &self.config,
-                    &members,
-                    next_id,
-                    &mut cluster_of,
-                );
+                let (ids, k) = clustering::content_clusters_subset(input, &self.config, &members);
+                for (&h, &c) in members.iter().zip(&ids) {
+                    cluster_of[h] = next_id + c;
+                }
+                next_id += k;
             }
             cluster_of
         } else {

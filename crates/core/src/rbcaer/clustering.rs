@@ -3,7 +3,7 @@
 //! configured threshold.
 
 use crate::config::RbcaerConfig;
-use ccdn_cluster::{hierarchical_cluster, jaccard, DistanceMatrix};
+use ccdn_cluster::cluster_jaccard;
 use ccdn_sim::SlotInput;
 use ccdn_trace::{HotspotId, VideoId};
 
@@ -16,41 +16,42 @@ use ccdn_trace::{HotspotId, VideoId};
 /// non-empty set (and 0 to other empty sets — idle hotspots cluster
 /// together, harmlessly, since they are never overloaded).
 pub(crate) fn content_clusters(input: &SlotInput<'_>, config: &RbcaerConfig) -> Vec<usize> {
-    let n = input.hotspot_count();
-    let members: Vec<usize> = (0..n).collect();
-    let mut cluster_of = vec![0usize; n];
-    content_clusters_subset(input, config, &members, 0, &mut cluster_of);
-    cluster_of
+    let members: Vec<usize> = (0..input.hotspot_count()).collect();
+    content_clusters_subset(input, config, &members).0
 }
 
-/// Clusters only the hotspots in `members`, writing cluster ids offset by
-/// `first_cluster_id` into `cluster_of`, and returns the number of
-/// clusters formed. The hierarchical scheduler uses this to cluster each
-/// region independently (`O(Σ n_r³)` instead of `O(n³)`).
+/// Clusters only the hotspots in `members` and returns one local cluster
+/// id per member (`ids[k]` for `members[k]`, ids `0..count` in order of
+/// each cluster's first member) plus the cluster `count`. The sharded and
+/// hierarchical planners cluster each tile or region on its own and
+/// offset the ids themselves, so no caller needs an `n`-sized buffer per
+/// subset.
 pub(crate) fn content_clusters_subset(
     input: &SlotInput<'_>,
     config: &RbcaerConfig,
     members: &[usize],
-    first_cluster_id: usize,
-    cluster_of: &mut [usize],
-) -> usize {
-    // One ranking scratch shared across the member loop; each hotspot
-    // still owns its final top set (the matrix closure borrows them all).
+) -> (Vec<usize>, usize) {
+    // Every member's Top set back to back in one buffer, ranked through
+    // one shared scratch.
     let mut scratch = Vec::new();
-    let mut sets: Vec<Vec<VideoId>> = Vec::with_capacity(members.len());
+    let mut top = Vec::new();
+    let mut flat: Vec<VideoId> = Vec::new();
+    let mut bounds = vec![0];
+    bounds.reserve(members.len());
     for &h in members {
-        let mut top = Vec::new();
         input.demand.top_videos_into(HotspotId(h), config.top_fraction, &mut scratch, &mut top);
-        sets.push(top);
+        flat.extend_from_slice(&top);
+        bounds.push(flat.len());
     }
-    let matrix = DistanceMatrix::from_fn(members.len(), |i, j| 1.0 - jaccard(&sets[i], &sets[j]));
-    let clusters = hierarchical_cluster(&matrix, config.linkage, config.cluster_threshold);
+    let sets: Vec<&[VideoId]> = bounds.windows(2).map(|w| &flat[w[0]..w[1]]).collect();
+    let clusters = cluster_jaccard(&sets, config.linkage, config.cluster_threshold);
+    let mut ids = vec![0usize; members.len()];
     for (k, cluster) in clusters.iter().enumerate() {
         for &local in cluster {
-            cluster_of[members[local]] = first_cluster_id + k;
+            ids[local] = k;
         }
     }
-    clusters.len()
+    (ids, clusters.len())
 }
 
 #[cfg(test)]

@@ -21,6 +21,34 @@ static BUDGET_SPENT: Counter = Counter::new("core.procedure.budget_spent");
 /// `e_u`-ranked candidates skipped because the budget was exhausted.
 static BUDGET_BLOCKED: Counter = Counter::new("core.procedure.budget_blocked");
 
+/// `e_u(v, j) = Σ_i min(f_ij, λ_iv)` for every `(v, j)` with a positive
+/// term, ascending by `(v, j)`. The terms go into one flat list, sorted
+/// by key and summed per key: the entries and order of a `(v, j)`-keyed
+/// map, without its per-term tree walk.
+fn efficiency_index(
+    f: &BTreeMap<(HotspotId, HotspotId), u64>,
+    remaining: &[Vec<(VideoId, u64)>],
+) -> Vec<((VideoId, HotspotId), u64)> {
+    let mut eu = Vec::new();
+    for (&(i, j), &fij) in f {
+        for &(video, demand) in &remaining[i.0] {
+            let ef = fij.min(demand);
+            if ef > 0 {
+                eu.push(((video, j), ef));
+            }
+        }
+    }
+    eu.sort_unstable_by_key(|&(key, _)| key);
+    eu.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+    eu
+}
+
 /// Executes Procedure 1 and assembles the slot decision.
 pub(crate) fn content_aggregation_replication(
     input: &SlotInput<'_>,
@@ -59,20 +87,8 @@ pub(crate) fn content_aggregation_replication(
     // e_u-guided phase is skipped entirely and every flow is realized by
     // the per-pair greedy phase below — i.e. pure load balancing with
     // arbitrary video selection.
-    let mut eu: Vec<((VideoId, HotspotId), u64)> = if config.content_aggregation {
-        let mut acc: BTreeMap<(VideoId, HotspotId), u64> = BTreeMap::new();
-        for (&(i, j), &fij) in &f {
-            for &(video, demand) in &remaining[i.0] {
-                let ef = fij.min(demand);
-                if ef > 0 {
-                    *acc.entry((video, j)).or_insert(0) += ef;
-                }
-            }
-        }
-        acc.into_iter().collect()
-    } else {
-        Vec::new()
-    };
+    let mut eu =
+        if config.content_aggregation { efficiency_index(&f, &remaining) } else { Vec::new() };
     // Descending by e_u, deterministic tie-breaks.
     eu.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 
@@ -246,6 +262,38 @@ mod tests {
     use ccdn_geo::{Point, Rect};
     use ccdn_sim::{HotspotGeometry, SlotDemand, SlotMetrics};
     use ccdn_trace::{Hotspot, Request, UserId};
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn prop_efficiency_index_matches_a_keyed_map(
+            flows in prop::collection::vec((0usize..5, 0usize..5, 0u64..6), 0..12),
+            rows in prop::collection::vec(
+                prop::collection::btree_set((0u32..10, 0u64..5), 0..8),
+                5,
+            ),
+        ) {
+            let f: BTreeMap<(HotspotId, HotspotId), u64> =
+                flows.iter().map(|&(i, j, x)| ((HotspotId(i), HotspotId(j)), x)).collect();
+            // One entry per video, ascending, as `remaining` holds them.
+            let remaining: Vec<Vec<(VideoId, u64)>> = rows
+                .iter()
+                .map(|row| {
+                    let by_video: BTreeMap<u32, u64> = row.iter().copied().collect();
+                    by_video.into_iter().map(|(v, d)| (VideoId(v), d)).collect()
+                })
+                .collect();
+            // The map Procedure 1 summed into before the flat list.
+            let mut expected: BTreeMap<(VideoId, HotspotId), u64> = BTreeMap::new();
+            f.iter().for_each(|(&(i, j), &fij)| {
+                remaining[i.0].iter().filter(|&&(_, d)| fij.min(d) > 0).for_each(|&(v, d)| {
+                    *expected.entry((v, j)).or_insert(0) += fij.min(d);
+                });
+            });
+            let expected: Vec<((VideoId, HotspotId), u64)> = expected.into_iter().collect();
+            prop_assert_eq!(efficiency_index(&f, &remaining), expected);
+        }
+    }
 
     /// Three hotspots in a row, 1 km apart; requests pinned at hotspot
     /// locations so aggregation is unambiguous.

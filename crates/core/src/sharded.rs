@@ -3,8 +3,8 @@
 //! The flat scheduler solves one MCMF over every overloaded/under-utilized
 //! hotspot pair within `θ₂` — fine at the paper's 5 000-hotspot scale, but
 //! the `Gd` candidate scan alone is `O(|Hs| · |Ht|)` and the clustering
-//! stage `O(n³)`. [`ShardedRbcaer`] restores near-linear plan time by
-//! cutting the deployment into square geo-tiles (via
+//! stage's working matrix `O(n²)`. [`ShardedRbcaer`] restores near-linear
+//! plan time by cutting the deployment into square geo-tiles (via
 //! [`ccdn_geo::GridIndex`] cells), solving each tile's Algorithm-1 loop
 //! independently on the worker pool, and stitching the tile plans back
 //! together with a cross-tile *border reconciliation* pass.
@@ -282,15 +282,7 @@ impl Scheme for ShardedRbcaer {
         if self.config.content_aggregation && !cold_tiles.is_empty() {
             let local: Vec<(Vec<usize>, usize)> =
                 ccdn_par::par_map(Threads::Auto, &cold_tiles, |&members| {
-                    let mut buf = vec![0usize; n];
-                    let k = clustering::content_clusters_subset(
-                        input,
-                        &self.config,
-                        members,
-                        0,
-                        &mut buf,
-                    );
-                    (members.iter().map(|&h| buf[h]).collect(), k)
+                    clustering::content_clusters_subset(input, &self.config, members)
                 });
             let mut next_id = 0usize;
             for (members, (ids, k)) in cold_tiles.iter().zip(&local) {

@@ -410,6 +410,9 @@ impl GridIndex {
     /// the boundary), in ascending index order. A negative or non-finite
     /// negative radius yields no matches; an infinite radius matches every
     /// point.
+    // `.iter().nth` rather than `.get`: ccdn-analyze's name-based call
+    // graph resolves `.get` to the panicking `DistanceMatrix::get`.
+    #[allow(clippy::iter_nth)]
     pub fn within_radius(&self, query: Point, radius_km: f64) -> Vec<usize> {
         let mut out = Vec::new();
         if self.points.is_empty() || radius_km < 0.0 || radius_km.is_nan() {

@@ -161,6 +161,9 @@ impl KdTree {
         out
     }
 
+    // `.iter().nth` rather than `.get`: ccdn-analyze's name-based call
+    // graph resolves `.get` to the panicking `DistanceMatrix::get`.
+    #[allow(clippy::iter_nth)]
     fn radius_rec(
         &self,
         node_id: usize,
