@@ -1,10 +1,10 @@
-//! **Scalability extension**: flat RBCAer vs the hierarchical
-//! region-partitioned variant (§VI's \[28\] hook) as the deployment grows.
+//! **Scalability extension**: flat vs sharded RBCAer as the deployment
+//! grows.
 //!
 //! Flat RBCAer solves one MCMF over all overloaded/under-utilized
-//! hotspots; the hierarchical scheduler solves many small intra-region
-//! instances plus one tiny cross-region instance over virtual hotspots.
-//! The interesting question is how much quality the decomposition gives up
+//! hotspots; the sharded planner (`S-RBCAer`) solves one small instance
+//! per geo-tile plus a border reconciliation pass between tiles. The
+//! interesting question is how much quality the decomposition gives up
 //! for its runtime headroom.
 //!
 //! The **metro sweep** then takes the geo-tiled sharded planner
@@ -15,7 +15,7 @@
 
 use ccdn_bench::table::{f3, Table};
 use ccdn_bench::{announce_csv, init_threads, obs_init, write_csv};
-use ccdn_core::{HierarchicalRbcaer, Nearest, Rbcaer, RbcaerConfig, ShardConfig, ShardedRbcaer};
+use ccdn_core::{Nearest, Rbcaer, RbcaerConfig, ShardConfig, ShardedRbcaer};
 use ccdn_geo::{Point, Rect};
 use ccdn_sim::{Runner, Scheme};
 use ccdn_trace::TraceConfig;
@@ -179,7 +179,7 @@ fn mega_sweep() -> Vec<String> {
 fn main() {
     let threads = init_threads();
     let obs = obs_init();
-    println!("== Scalability: flat vs hierarchical RBCAer ==");
+    println!("== Scalability: flat vs sharded RBCAer ==");
     println!("threads: {threads}\n");
     // A wide cooperation radius makes the flat MCMF dense — the regime
     // where decomposition pays.
@@ -197,8 +197,6 @@ fn main() {
         let runner = Runner::new(&trace);
         let mut schemes: Vec<Box<dyn Scheme>> = vec![
             Box::new(Rbcaer::new(config)),
-            Box::new(HierarchicalRbcaer::new(config, 3, 4)),
-            Box::new(HierarchicalRbcaer::new(config, 3, 4).without_cross_region()),
             // Tiles at 2×θ₂ so the border band is a strict minority of
             // each tile even under this sweep's wide radius.
             Box::new(ShardedRbcaer::new(

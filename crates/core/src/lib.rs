@@ -56,7 +56,6 @@
 #![warn(missing_docs)]
 
 mod config;
-mod hierarchical;
 mod lp_based;
 mod nearest;
 mod random;
@@ -66,7 +65,6 @@ mod sharded;
 pub mod validate;
 
 pub use config::{ConfigError, GuideCost, RbcaerConfig, RobustConfig};
-pub use hierarchical::{split_flows_by_region, HierarchicalRbcaer, RegionPartition};
 pub use lp_based::{LpBased, LpBasedConfig};
 pub use nearest::Nearest;
 pub use random::LocalRandom;

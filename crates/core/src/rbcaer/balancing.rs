@@ -23,8 +23,8 @@ static GUIDE_NODES: Counter = Counter::new("core.balance.guide_nodes");
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BalanceOutcome {
     /// `f_ij > 0` entries: requests redirected from hotspot `i` to `j`.
-    /// Ordered so that downstream consumers (Procedure 1, region
-    /// splitting) iterate deterministically under a fixed seed.
+    /// Ordered so that downstream consumers (Procedure 1, the sharded
+    /// planner's border pass) iterate deterministically under a fixed seed.
     pub flows: BTreeMap<(HotspotId, HotspotId), u64>,
     /// Total requests moved (`Σ f_ij`).
     pub moved: u64,
@@ -418,7 +418,7 @@ pub(crate) fn balance(
     config: &RbcaerConfig,
     cluster_of: &[usize],
 ) -> BalanceOutcome {
-    balance_filtered(input, config, cluster_of, &|_, _| true)
+    balance_with_parts(input, config, cluster_of, Participants::from_input(input), Threads::Auto)
 }
 
 /// One planned arc of a balancing round, computed per under-utilized slot
@@ -431,24 +431,6 @@ enum EdgePlan {
     /// A flow-guide node draining `sources` (`(si, capacity, distance)`)
     /// into `j` (§IV-B).
     Guide { sources: Vec<(usize, u64, f64)>, out_capacity: u64, out_cost: f64 },
-}
-
-/// [`balance`] restricted to hotspot pairs `allow_pair(i, j)` — the hook
-/// the hierarchical scheduler uses to keep level-1 flows intra-region.
-pub(crate) fn balance_filtered(
-    input: &SlotInput<'_>,
-    config: &RbcaerConfig,
-    cluster_of: &[usize],
-    allow_pair: &(dyn Fn(usize, usize) -> bool + Sync),
-) -> BalanceOutcome {
-    balance_with_parts(
-        input,
-        config,
-        cluster_of,
-        allow_pair,
-        Participants::from_input(input),
-        Threads::Auto,
-    )
 }
 
 /// [`balance`] restricted to the hotspots in `members` — the sharded
@@ -469,16 +451,15 @@ pub(crate) fn balance_subset(
     // per-under fan-out here would spawn a scoped pool per θ round per
     // tile — thousands of short-lived threads per slot. The sequential
     // path is bit-identical by the ccdn-par determinism contract.
-    balance_with_parts(input, config, cluster_of, &|_, _| true, parts, Threads::Fixed(1))
+    balance_with_parts(input, config, cluster_of, parts, Threads::Fixed(1))
 }
 
 /// The Algorithm-1 loop over a pre-computed [`Participants`] partition —
-/// the shared core of [`balance_filtered`] and [`balance_subset`].
+/// the shared core of [`balance`] and [`balance_subset`].
 fn balance_with_parts(
     input: &SlotInput<'_>,
     config: &RbcaerConfig,
     cluster_of: &[usize],
-    allow_pair: &(dyn Fn(usize, usize) -> bool + Sync),
     parts: Participants,
     threads: Threads,
 ) -> BalanceOutcome {
@@ -491,12 +472,12 @@ fn balance_with_parts(
     if max_movable > 0 {
         // Hoisted out of the θ loop: one arena network and one set of
         // skeleton buffers rebuilt per round, one under-slot index list
-        // shared by every round's fan-out, and every allowed pair the
-        // sweep can reach, scanned once.
+        // shared by every round's fan-out, and every pair the sweep can
+        // reach, scanned once.
         let mut arena = FlowNetwork::new();
         let mut scratch = RoundScratch::default();
         let under_ids: Vec<usize> = (0..parts.under.len()).collect();
-        let reach = sweep_candidates(input, config, &parts, allow_pair, &under_ids, threads);
+        let reach = sweep_candidates(input, config, &parts, &under_ids, threads);
         let mut theta = config.theta1_km;
         // Guard against pathological δd ever looping forever.
         let mut iterations = 0;
@@ -555,14 +536,13 @@ fn balance_with_parts(
 const SWEEP_SLACK_KM: f64 = 1e-9;
 
 /// Every arc candidate `(si, d)` of each under-utilized slot over the
-/// whole θ sweep: the allowed pairs closer than the loop's last threshold
-/// bound, in ascending `si` order. A round keeps the ones with slack left
+/// whole θ sweep: the pairs closer than the loop's last threshold bound,
+/// in ascending `si` order. A round keeps the ones with slack left
 /// and `d < θ`, so a `δd` that does not divide `θ₂ − θ₁` is covered too.
 fn sweep_candidates(
     input: &SlotInput<'_>,
     config: &RbcaerConfig,
     parts: &Participants,
-    allow_pair: &(dyn Fn(usize, usize) -> bool + Sync),
     under_ids: &[usize],
     threads: Threads,
 ) -> Vec<Vec<(usize, f64)>> {
@@ -573,7 +553,6 @@ fn sweep_candidates(
             .overloaded
             .iter()
             .enumerate()
-            .filter(|&(_, &(i, _))| allow_pair(i, j))
             .filter_map(|(si, &(i, _))| {
                 let d = input.geometry.distance(HotspotId(i), HotspotId(j));
                 (d < bound).then_some((si, d))
@@ -710,7 +689,6 @@ mod tests {
         theta: f64,
         with_guides: bool,
         cluster_of: &[usize],
-        allow_pair: &dyn Fn(usize, usize) -> bool,
         arena: &mut FlowNetwork,
     ) -> Vec<((usize, usize), u64)> {
         let mut builder =
@@ -724,7 +702,7 @@ mod tests {
                     .overloaded
                     .iter()
                     .enumerate()
-                    .filter(|&(si, &(i, _))| phi_s[si] > 0 && allow_pair(i, j))
+                    .filter(|&(si, _)| phi_s[si] > 0)
                     .filter_map(|(si, &(i, _))| {
                         let d = input.geometry.distance(HotspotId(i), HotspotId(j));
                         (d < theta).then_some((si, d))
@@ -736,14 +714,13 @@ mod tests {
         builder.solve(&mut RoundScratch::default())
     }
 
-    /// Algorithm 1's loop over [`full_round`].
+    /// Algorithm 1's loop over [`full_round`], on the hotspots of `parts`.
     fn reference_balance(
         input: &SlotInput<'_>,
         config: &RbcaerConfig,
         cluster_of: &[usize],
-        allow_pair: &dyn Fn(usize, usize) -> bool,
+        parts: &Participants,
     ) -> BalanceOutcome {
-        let parts = Participants::from_input(input);
         let max_movable = parts.max_movable();
         let mut phi_s: Vec<u64> = parts.overloaded.iter().map(|&(_, p)| p).collect();
         let mut phi_t: Vec<u64> = parts.under.iter().map(|&(_, p)| p).collect();
@@ -757,16 +734,15 @@ mod tests {
                 let round = full_round(
                     input,
                     config,
-                    &parts,
+                    parts,
                     &phi_s,
                     &phi_t,
                     theta,
                     config.content_aggregation,
                     cluster_of,
-                    allow_pair,
                     &mut arena,
                 );
-                apply_round(&parts, &round, &mut phi_s, &mut phi_t, &mut flows, &mut moved);
+                apply_round(parts, &round, &mut phi_s, &mut phi_t, &mut flows, &mut moved);
                 theta += config.delta_km;
                 iterations += 1;
             }
@@ -774,16 +750,15 @@ mod tests {
                 let round = full_round(
                     input,
                     config,
-                    &parts,
+                    parts,
                     &phi_s,
                     &phi_t,
                     config.theta2_km,
                     false,
                     cluster_of,
-                    allow_pair,
                     &mut arena,
                 );
-                apply_round(&parts, &round, &mut phi_s, &mut phi_t, &mut flows, &mut moved);
+                apply_round(parts, &round, &mut phi_s, &mut phi_t, &mut flows, &mut moved);
             }
         }
         BalanceOutcome { flows, moved, max_movable }
@@ -870,10 +845,11 @@ mod tests {
             (0..12).map(|k| (if k % 2 == 0 { 0.5 } else { 0.9 }, 0.5, k % 4)).collect();
         let slot = Slot::new(&spots, &requests);
         let input = slot.input();
+        let parts = Participants::from_input(&input);
         configs().iter().for_each(|config| {
             let got = balance(&input, config, &slot.cluster_of);
             assert!(got.moved > 0, "the fixture must move requests");
-            assert_eq!(got, reference_balance(&input, config, &slot.cluster_of, &|_, _| true));
+            assert_eq!(got, reference_balance(&input, config, &slot.cluster_of, &parts));
         });
     }
 
@@ -888,16 +864,20 @@ mod tests {
             ),
             requests in prop::collection::vec((0.0f64..3.0, 0.0f64..3.0, 0u32..8), 0..120),
             config_ix in 0usize..4,
-            filtered in any::<bool>(),
+            mask in any::<u16>(),
         ) {
             let slot = Slot::new(&spots, &requests);
             let input = slot.input();
             let config = configs()[config_ix];
-            // The hierarchical planner's intra-region filter, as a stand-in
-            // for any `allow_pair`.
-            let allow = |i: usize, j: usize| !filtered || (i + j) % 3 != 0;
-            let got = balance_filtered(&input, &config, &slot.cluster_of, &allow);
-            prop_assert_eq!(got, reference_balance(&input, &config, &slot.cluster_of, &allow));
+            let every = Participants::from_input(&input);
+            let got = balance(&input, &config, &slot.cluster_of);
+            prop_assert_eq!(got, reference_balance(&input, &config, &slot.cluster_of, &every));
+            // The sharded planner's per-tile entry, over an ascending
+            // member subset that `mask` picks.
+            let members: Vec<usize> = (0..spots.len()).filter(|&h| mask >> h & 1 == 1).collect();
+            let parts = Participants::from_members(&input, members.iter().copied());
+            let got = balance_subset(&input, &config, &slot.cluster_of, &members);
+            prop_assert_eq!(got, reference_balance(&input, &config, &slot.cluster_of, &parts));
         }
     }
 }

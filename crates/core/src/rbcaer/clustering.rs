@@ -22,10 +22,9 @@ pub(crate) fn content_clusters(input: &SlotInput<'_>, config: &RbcaerConfig) -> 
 
 /// Clusters only the hotspots in `members` and returns one local cluster
 /// id per member (`ids[k]` for `members[k]`, ids `0..count` in order of
-/// each cluster's first member) plus the cluster `count`. The sharded and
-/// hierarchical planners cluster each tile or region on its own and
-/// offset the ids themselves, so no caller needs an `n`-sized buffer per
-/// subset.
+/// each cluster's first member) plus the cluster `count`. The sharded
+/// planner clusters each tile on its own and offsets the ids itself, so
+/// no caller needs an `n`-sized buffer per subset.
 pub(crate) fn content_clusters_subset(
     input: &SlotInput<'_>,
     config: &RbcaerConfig,

@@ -34,7 +34,8 @@
 //! re-routed, and it skips the θ-sweep and flow guides) for an MCMF over
 //! the *delta* instead of the tile; `warm_delta` bounds when that trade is
 //! taken, and `warm_delta = 0` degenerates to reuse-or-cold, which is
-//! byte-identical to always solving cold.
+//! byte-identical to always solving cold. The tile cache itself is always
+//! kept; [`ShardedRbcaer::reset_warm_state`] drops it between slots.
 //!
 //! # Determinism
 //!
@@ -84,17 +85,16 @@ pub struct ShardConfig {
     /// tile boundary join the cross-tile reconciliation pass. `0` disables
     /// the pass.
     pub border_km: f64,
-    /// Keep per-tile flows across slots and reuse / top-up when demand
-    /// barely moved.
-    pub warm_start: bool,
     /// Relative L1 load delta (`Σ|λ − λ_prev| / Σλ_prev`) below which a
-    /// changed tile takes the top-up path instead of a cold solve.
+    /// changed tile takes the top-up path instead of a cold solve. `0`
+    /// keeps only the replay of unchanged tiles, which plans the same
+    /// bytes as always solving cold.
     pub warm_delta: f64,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
-        ShardConfig { tile_km: 8.0, border_km: 1.5, warm_start: true, warm_delta: 0.25 }
+        ShardConfig { tile_km: 8.0, border_km: 1.5, warm_delta: 0.25 }
     }
 }
 
@@ -223,9 +223,6 @@ impl ShardedRbcaer {
 
     /// Chooses reuse / top-up / cold for one tile from its cached state.
     fn tile_mode(&self, tile: usize, members: &[usize], loads: &[u64]) -> TileMode {
-        if !self.shard.warm_start {
-            return TileMode::Cold;
-        }
         let Some(cache) = self.tiles.get(&tile) else {
             return TileMode::Cold;
         };

@@ -3,10 +3,33 @@
 //! paper's Eqs. 4–7) on *any* input, and RBCAer's balancing invariants
 //! must hold regardless of parameters.
 
-use ccdn_core::{HierarchicalRbcaer, LocalRandom, Nearest, Rbcaer, RbcaerConfig};
-use ccdn_sim::Runner;
+use ccdn_core::{LocalRandom, Nearest, Rbcaer, RbcaerConfig, ShardConfig, ShardedRbcaer};
+use ccdn_sim::{Runner, Scheme, SlotDecision, SlotInput, Target};
 use ccdn_trace::TraceConfig;
 use proptest::prelude::*;
+
+/// Wraps a scheme and records the longest hotspot-to-hotspot redirect of
+/// any slot's decision.
+struct LongestRedirect<S> {
+    inner: S,
+    km: f64,
+}
+
+impl<S: Scheme> Scheme for LongestRedirect<S> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn schedule(&mut self, input: &SlotInput<'_>) -> SlotDecision {
+        let decision = self.inner.schedule(input);
+        for a in &decision.assignments {
+            if let Target::Hotspot(to) = a.target {
+                self.km = self.km.max(input.geometry.distance(a.from, to));
+            }
+        }
+        decision
+    }
+}
 
 fn trace_strategy() -> impl Strategy<Value = ccdn_trace::Trace> {
     (
@@ -51,14 +74,24 @@ proptest! {
     }
 
     #[test]
-    fn hierarchical_is_always_valid(
+    fn sharded_is_always_valid_within_theta2(
         trace in trace_strategy(),
-        rows in 1usize..4,
-        cols in 1usize..4,
+        tile_km in prop::sample::select(vec![0.5, 2.0, 4.0, 8.0]),
+        border_km in prop::sample::select(vec![0.0, 0.5, 1.5]),
+        warm_delta in prop::sample::select(vec![0.0, 0.25, 1e18]),
     ) {
-        Runner::new(&trace)
-            .run(&mut HierarchicalRbcaer::new(RbcaerConfig::default(), rows, cols))
-            .expect("hierarchical validates");
+        let config = RbcaerConfig::default();
+        let shard = ShardConfig { tile_km, border_km, warm_delta };
+        let mut scheme = LongestRedirect { inner: ShardedRbcaer::new(config, shard), km: 0.0 };
+        Runner::new(&trace).run(&mut scheme).expect("sharded validates");
+        // The paper's collaboration radius (§IV-A) binds tile-local,
+        // top-up and border flows alike.
+        prop_assert!(
+            scheme.km <= config.theta2_km + 1e-6,
+            "a request moved {} km, past θ₂ = {} km",
+            scheme.km,
+            config.theta2_km
+        );
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn for_each_slot(trace: &Trace, mut f: impl FnMut(&SlotInput<'_>)) {
     }
 }
 
-/// One tile spanning the whole region and no warm start is the monolithic
+/// One tile spanning the whole region and no top-up is the monolithic
 /// planner: every slot's decision must be byte-identical to
 /// [`Rbcaer::plan`].
 #[test]
@@ -44,7 +44,7 @@ fn single_tile_cold_matches_flat_rbcaer_exactly() {
     let flat = Rbcaer::new(RbcaerConfig::default());
     let mut sharded = ShardedRbcaer::new(
         RbcaerConfig::default(),
-        ShardConfig { tile_km: 10_000.0, warm_start: false, ..ShardConfig::default() },
+        ShardConfig { tile_km: 10_000.0, warm_delta: 0.0, ..ShardConfig::default() },
     );
     for_each_slot(&trace, |input| {
         assert_eq!(sharded.schedule(input), flat.plan(input));
@@ -91,22 +91,21 @@ fn plans_are_thread_count_invariant() {
     assert_eq!(reports[0], reports[2], "1-thread vs 8-thread plans diverge");
 }
 
-/// With `warm_delta = 0` the warm path only ever replays a tile whose
-/// loads are byte-identical to the previous slot — which by determinism is
-/// exactly what a cold solve would produce. Property-checked over seeds.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+    /// With `warm_delta = 0` the warm path only ever replays a tile whose
+    /// loads are byte-identical to the previous slot — which by determinism
+    /// is exactly what a cold solve would produce. The cold reference drops
+    /// its tile cache before every slot. Property-checked over seeds.
     #[test]
     fn prop_warm_start_at_zero_delta_equals_cold(seed in 0u64..200) {
         let trace = trace_with_seed(seed);
         let shard =
             ShardConfig { tile_km: 4.0, warm_delta: 0.0, ..ShardConfig::default() };
         let mut warm = ShardedRbcaer::new(RbcaerConfig::default(), shard);
-        let mut cold = ShardedRbcaer::new(
-            RbcaerConfig::default(),
-            ShardConfig { warm_start: false, ..shard },
-        );
+        let mut cold = ShardedRbcaer::new(RbcaerConfig::default(), shard);
         for_each_slot(&trace, |input| {
+            cold.reset_warm_state();
             assert_eq!(warm.schedule(input), cold.schedule(input));
         });
     }
@@ -114,7 +113,8 @@ proptest! {
 
 /// The top-up path (huge `warm_delta` forces it whenever a tile changed)
 /// still yields a feasible, validated plan covering all demand, and its
-/// serving ratio stays within a bounded gap of the always-cold planner.
+/// serving ratio stays within a bounded gap of the always-cold planner
+/// (`warm_delta = 0`, which plans the same bytes).
 #[test]
 fn topup_path_validates_and_stays_close_to_cold() {
     let trace = trace_with_seed(13);
@@ -123,7 +123,7 @@ fn topup_path_validates_and_stays_close_to_cold() {
     let cold = runner
         .run(&mut ShardedRbcaer::new(
             RbcaerConfig::default(),
-            ShardConfig { warm_start: false, ..base },
+            ShardConfig { warm_delta: 0.0, ..base },
         ))
         .unwrap();
     let warm = runner

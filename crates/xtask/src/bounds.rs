@@ -14,9 +14,9 @@
 //! max = 1_048_576          # hotspot index; min defaults to 0
 //!
 //! [[field]]
-//! type = "RegionPartition"
+//! type = "GridIndex"
 //! name = "cols"
-//! min = 1                  # constructor-validated (`grid` asserts > 0)
+//! min = 1                  # constructor-validated (`.max(1)` in try_build)
 //! max = 65_536
 //! ```
 //!
@@ -260,7 +260,7 @@ name = \"i\"
 max = 1_048_576   # hotspot index
 
 [[field]]
-type = \"RegionPartition\"
+type = \"GridIndex\"
 name = \"cols\"
 min = 1
 max = 65_536
@@ -273,8 +273,8 @@ max = 65_536
         assert_eq!(b.fields.len(), 1);
         assert_eq!(b.param("cluster::matrix::DistanceMatrix::get", "i"), Some((0, 1_048_576)));
         assert_eq!(b.param("cluster::matrix::DistanceMatrix::get", "k"), None);
-        assert_eq!(b.field("RegionPartition", "cols"), Some((1, 65_536)));
-        assert_eq!(b.field("RegionPartition", "rows"), None);
+        assert_eq!(b.field("GridIndex", "cols"), Some((1, 65_536)));
+        assert_eq!(b.field("GridIndex", "rows"), None);
     }
 
     #[test]

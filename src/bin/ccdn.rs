@@ -11,9 +11,7 @@
 //! `compare` runs the paper's scheme line-up on a preset and prints the
 //! four evaluation metrics.
 
-use crowdsourced_cdn::core::{
-    HierarchicalRbcaer, LocalRandom, LpBased, LpBasedConfig, Nearest, Rbcaer, RbcaerConfig,
-};
+use crowdsourced_cdn::core::{LocalRandom, LpBased, LpBasedConfig, Nearest, Rbcaer, RbcaerConfig};
 use crowdsourced_cdn::geo::Rect;
 use crowdsourced_cdn::sim::{Runner, Scheme};
 use crowdsourced_cdn::trace::{Trace, TraceConfig};
@@ -26,7 +24,7 @@ usage:
   ccdn run --hotspots FILE --requests FILE --videos N --slots N [--scheme NAME]
   ccdn compare [--preset eval|measurement|small] [--seed N]
 
-schemes: rbcaer (default), rbcaer-balance-only, hierarchical, nearest, random, lp";
+schemes: rbcaer (default), rbcaer-balance-only, nearest, random, lp";
 
 /// Parsed command line: a subcommand plus `--key value` options.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,7 +68,6 @@ fn scheme_by_name(name: &str) -> Result<Box<dyn Scheme>, String> {
             content_aggregation: false,
             ..RbcaerConfig::default()
         }))),
-        "hierarchical" => Ok(Box::new(HierarchicalRbcaer::new(RbcaerConfig::default(), 3, 3))),
         "nearest" => Ok(Box::new(Nearest::new())),
         "random" => Ok(Box::new(LocalRandom::new(1.5, 42))),
         "lp" => Ok(Box::new(LpBased::new(LpBasedConfig::default()))),
@@ -227,7 +224,7 @@ mod tests {
     fn preset_and_scheme_lookup() {
         assert!(preset("eval").is_ok());
         assert!(preset("nope").is_err());
-        for name in ["rbcaer", "rbcaer-balance-only", "hierarchical", "nearest", "random", "lp"] {
+        for name in ["rbcaer", "rbcaer-balance-only", "nearest", "random", "lp"] {
             assert!(scheme_by_name(name).is_ok(), "{name}");
         }
         assert!(scheme_by_name("bogus").is_err());
