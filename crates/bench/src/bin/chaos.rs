@@ -155,7 +155,7 @@ fn main() {
         trace.slot_count
     );
     assert!(
-        u32::from(WINDOW.1) + RECOVERY_K <= trace.slot_count,
+        WINDOW.1 + RECOVERY_K <= trace.slot_count,
         "recovery horizon must fit inside the trace"
     );
 

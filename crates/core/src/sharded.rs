@@ -15,27 +15,9 @@
 //! exactly those residuals. The gap to the monolithic plan is therefore
 //! bounded by the border population, not the deployment size.
 //!
-//! # Incremental re-planning (warm start)
-//!
-//! Demand drifts slowly between timeslots, so most tiles barely change.
-//! The scheduler keeps each tile's previous flows and, per slot, picks one
-//! of three paths:
-//!
-//! - **reuse** — the tile's loads are byte-identical to the previous slot:
-//!   the cached flows are replayed without touching the solver;
-//! - **top-up** — the relative load delta is within
-//!   [`ShardConfig::warm_delta`]: cached flows are clamped to the current
-//!   slacks, committed into a fresh `Gd(θ₂)` via
-//!   [`FlowNetwork::preload_edge_flow`], and a bounded min-cost completion
-//!   routes only the remainder;
-//! - **cold** — anything else re-runs the full θ-sweep for that tile.
-//!
-//! The top-up trades a little optimality (committed flow is never
-//! re-routed, and it skips the θ-sweep and flow guides) for an MCMF over
-//! the *delta* instead of the tile; `warm_delta` bounds when that trade is
-//! taken, and `warm_delta = 0` degenerates to reuse-or-cold, which is
-//! byte-identical to always solving cold. The tile cache itself is always
-//! kept; [`ShardedRbcaer::reset_warm_state`] drops it between slots.
+//! Each slot is planned from that slot's input alone: every tile goes
+//! through the full θ-sweep, and the planner keeps no state between
+//! slots, so a long-lived planner returns the same plan as a fresh one.
 //!
 //! # Determinism
 //!
@@ -55,16 +37,12 @@ use ccdn_sim::{Scheme, SlotDecision, SlotInput};
 use ccdn_trace::HotspotId;
 use std::collections::BTreeMap;
 
-/// Tiles whose cached flows were replayed verbatim this slot.
-static TILES_REUSED: Counter = Counter::new("core.sharded.tiles_reused");
-/// Tiles warm-started via clamp + preload + bounded top-up.
-static TILES_TOPPED_UP: Counter = Counter::new("core.sharded.tiles_topped_up");
-/// Tiles solved cold through the full θ-sweep.
+/// Tiles solved through the full θ-sweep.
 static TILES_COLD: Counter = Counter::new("core.sharded.tiles_cold");
 /// Requests moved across tiles by the border reconciliation pass.
 static BORDER_MOVED: Counter = Counter::new("core.sharded.border_moved");
 
-/// Geometry and warm-start knobs of [`ShardedRbcaer`].
+/// Tiling geometry of [`ShardedRbcaer`].
 ///
 /// # Examples
 ///
@@ -85,26 +63,21 @@ pub struct ShardConfig {
     /// tile boundary join the cross-tile reconciliation pass. `0` disables
     /// the pass.
     pub border_km: f64,
-    /// Relative L1 load delta (`Σ|λ − λ_prev| / Σλ_prev`) below which a
-    /// changed tile takes the top-up path instead of a cold solve. `0`
-    /// keeps only the replay of unchanged tiles, which plans the same
-    /// bytes as always solving cold.
-    pub warm_delta: f64,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
-        ShardConfig { tile_km: 8.0, border_km: 1.5, warm_delta: 0.25 }
+        ShardConfig { tile_km: 8.0, border_km: 1.5 }
     }
 }
 
 impl ShardConfig {
-    /// Checks the geometric and warm-start parameters.
+    /// Checks the geometric parameters.
     ///
     /// # Errors
     ///
     /// [`ConfigError`] if `tile_km` is not strictly positive and finite,
-    /// or `border_km` / `warm_delta` are negative or non-finite.
+    /// or `border_km` is negative or non-finite.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !(self.tile_km.is_finite() && self.tile_km > 0.0) {
             return Err(ConfigError::new("tile_km must be positive and finite"));
@@ -112,34 +85,12 @@ impl ShardConfig {
         if !(self.border_km.is_finite() && self.border_km >= 0.0) {
             return Err(ConfigError::new("border_km must be non-negative and finite"));
         }
-        if !(self.warm_delta.is_finite() && self.warm_delta >= 0.0) {
-            return Err(ConfigError::new("warm_delta must be non-negative and finite"));
-        }
         Ok(())
     }
 }
 
-/// Previous-slot state of one tile, keyed by its grid cell id.
-#[derive(Debug, Clone)]
-struct TileCache {
-    /// Hotspot ids of the tile, ascending (static geometry ⇒ static).
-    members: Vec<usize>,
-    /// Per-member demand load of the slot the flows were planned for.
-    loads: Vec<u64>,
-    /// The planned `(i, j) → f` arcs, ascending by pair.
-    flows: Vec<((usize, usize), u64)>,
-}
-
-/// How one tile gets its flows this slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TileMode {
-    Reuse,
-    TopUp,
-    Cold,
-}
-
-/// The sharded scheduler: geo-tiled RBCAer with border reconciliation and
-/// incremental re-planning. See the [module docs](self) for the design.
+/// The sharded scheduler: geo-tiled RBCAer with border reconciliation.
+/// See the [module docs](self) for the design.
 ///
 /// # Examples
 ///
@@ -157,8 +108,6 @@ enum TileMode {
 pub struct ShardedRbcaer {
     config: RbcaerConfig,
     shard: ShardConfig,
-    /// Warm-start state: one entry per non-empty tile, kept across slots.
-    tiles: BTreeMap<usize, TileCache>,
 }
 
 impl ShardedRbcaer {
@@ -187,7 +136,7 @@ impl ShardedRbcaer {
     pub fn try_new(config: RbcaerConfig, shard: ShardConfig) -> Result<Self, ConfigError> {
         config.validate()?;
         shard.validate()?;
-        Ok(ShardedRbcaer { config, shard, tiles: BTreeMap::new() })
+        Ok(ShardedRbcaer { config, shard })
     }
 
     /// The active RBCAer configuration.
@@ -198,11 +147,6 @@ impl ShardedRbcaer {
     /// The active sharding configuration.
     pub fn shard_config(&self) -> &ShardConfig {
         &self.shard
-    }
-
-    /// Drops all warm-start state; the next slot solves every tile cold.
-    pub fn reset_warm_state(&mut self) {
-        self.tiles.clear();
     }
 
     /// Tile id per hotspot plus the tiling grid itself. Falls back to one
@@ -218,26 +162,6 @@ impl ShardedRbcaer {
                 (tile_of, Some(grid))
             }
             Err(_) => (vec![0; n], None),
-        }
-    }
-
-    /// Chooses reuse / top-up / cold for one tile from its cached state.
-    fn tile_mode(&self, tile: usize, members: &[usize], loads: &[u64]) -> TileMode {
-        let Some(cache) = self.tiles.get(&tile) else {
-            return TileMode::Cold;
-        };
-        if cache.members != members {
-            return TileMode::Cold;
-        }
-        if cache.loads == loads {
-            return TileMode::Reuse;
-        }
-        let prev: u64 = cache.loads.iter().sum();
-        let delta: u64 = cache.loads.iter().zip(loads).map(|(&a, &b)| a.abs_diff(b)).sum();
-        if (delta as f64) <= self.shard.warm_delta * prev.max(1) as f64 {
-            TileMode::TopUp
-        } else {
-            TileMode::Cold
         }
     }
 }
@@ -256,33 +180,19 @@ impl Scheme for ShardedRbcaer {
         for (h, &tile) in tile_of.iter().enumerate().take(n) {
             members_of.entry(tile).or_default().push(h);
         }
+        let tiles: Vec<&[usize]> = members_of.values().map(Vec::as_slice).collect();
 
-        // Decide each tile's path before clustering: reuse and top-up skip
-        // the (expensive) clustering stage entirely.
-        let mut plan: Vec<(usize, &[usize], Vec<u64>, TileMode)> = Vec::new();
-        for (&tile, members) in &members_of {
-            let loads: Vec<u64> =
-                members.iter().map(|&h| input.demand.load(HotspotId(h))).collect();
-            let mode = self.tile_mode(tile, members, &loads);
-            plan.push((tile, members.as_slice(), loads, mode));
-        }
-
-        // Cluster only the cold tiles, each independently on the pool;
-        // cluster ids are offset sequentially in tile order so the merged
-        // assignment is thread-count invariant.
-        let cold_tiles: Vec<&[usize]> = plan
-            .iter()
-            .filter(|&&(_, _, _, mode)| mode == TileMode::Cold)
-            .map(|&(_, members, _, _)| members)
-            .collect();
+        // Cluster each tile independently on the pool; cluster ids are
+        // offset sequentially in tile order so the merged assignment is
+        // thread-count invariant.
         let mut cluster_of = vec![0usize; n];
-        if self.config.content_aggregation && !cold_tiles.is_empty() {
+        if self.config.content_aggregation {
             let local: Vec<(Vec<usize>, usize)> =
-                ccdn_par::par_map(Threads::Auto, &cold_tiles, |&members| {
+                ccdn_par::par_map(Threads::Auto, &tiles, |&members| {
                     clustering::content_clusters_subset(input, &self.config, members)
                 });
             let mut next_id = 0usize;
-            for (members, (ids, k)) in cold_tiles.iter().zip(&local) {
+            for (members, (ids, k)) in tiles.iter().zip(&local) {
                 for (&h, &c) in members.iter().zip(ids) {
                     cluster_of[h] = next_id + c;
                 }
@@ -290,40 +200,25 @@ impl Scheme for ShardedRbcaer {
             }
         }
 
-        // Solve every tile on the pool (reuse replays the cache inline —
-        // `par_map` joins in input order, so the fan-out stays
-        // deterministic) and merge sequentially in ascending tile order.
-        let solved: Vec<Vec<((usize, usize), u64)>> =
-            ccdn_par::par_map(Threads::Auto, &plan, |(tile, members, _, mode)| match mode {
-                TileMode::Reuse => self.tiles[tile].flows.clone(),
-                TileMode::TopUp => {
-                    topup_tile(input, &self.config, members, &self.tiles[tile].flows)
-                }
-                TileMode::Cold => {
-                    let outcome =
-                        balancing::balance_subset(input, &self.config, &cluster_of, members);
-                    outcome.flows.iter().map(|(&(i, j), &f)| ((i.0, j.0), f)).collect()
-                }
+        // Solve every tile on the pool (`par_map` joins in input order, so
+        // the fan-out stays deterministic) and merge sequentially in
+        // ascending tile order.
+        let solved: Vec<balancing::BalanceOutcome> =
+            ccdn_par::par_map(Threads::Auto, &tiles, |&members| {
+                balancing::balance_subset(input, &self.config, &cluster_of, members)
             });
 
         let mut outcome = balancing::BalanceOutcome {
-            max_movable: crate::rbcaer::balancing::Participants::from_input(input).max_movable(),
+            max_movable: balancing::Participants::from_input(input).max_movable(),
             ..Default::default()
         };
-        let mut next_tiles: BTreeMap<usize, TileCache> = BTreeMap::new();
-        for ((tile, members, loads, mode), flows) in plan.into_iter().zip(solved) {
-            match mode {
-                TileMode::Reuse => TILES_REUSED.incr(),
-                TileMode::TopUp => TILES_TOPPED_UP.incr(),
-                TileMode::Cold => TILES_COLD.incr(),
-            }
-            for &((i, j), f) in &flows {
-                *outcome.flows.entry((HotspotId(i), HotspotId(j))).or_insert(0) += f;
+        for tile in solved {
+            TILES_COLD.incr();
+            for (pair, f) in tile.flows {
+                *outcome.flows.entry(pair).or_insert(0) += f;
                 outcome.moved += f;
             }
-            next_tiles.insert(tile, TileCache { members: members.to_vec(), loads, flows });
         }
-        self.tiles = next_tiles;
 
         if let Some(grid) = &grid {
             border_reconcile(input, &self.config, &self.shard, grid, &tile_of, &mut outcome);
@@ -339,115 +234,6 @@ impl Scheme for ShardedRbcaer {
         }
         decision
     }
-}
-
-/// Warm top-up for one tile: clamp the cached flows to the current slacks,
-/// commit them into a plain `Gd(θ₂)` over the tile, and route the
-/// remainder as a bounded min-cost completion. Committed flow is never
-/// re-routed — see `crates/flow/tests/warm_start.rs` for the contract.
-fn topup_tile(
-    input: &SlotInput<'_>,
-    config: &RbcaerConfig,
-    members: &[usize],
-    cached: &[((usize, usize), u64)],
-) -> Vec<((usize, usize), u64)> {
-    let parts = balancing::Participants::from_members(input, members.iter().copied());
-    if parts.overloaded.is_empty() || parts.under.is_empty() {
-        return Vec::new();
-    }
-
-    let mut net = FlowNetwork::new();
-    let source = net.add_node();
-    let sink = net.add_node();
-    let mut s_edges = Vec::with_capacity(parts.overloaded.len());
-    let mut t_edges = Vec::with_capacity(parts.under.len());
-    let s_nodes: Vec<usize> = parts
-        .overloaded
-        .iter()
-        .map(|&(_, phi)| {
-            let node = net.add_node();
-            // lint: allow(no-panic): zero cost and in-range nodes make add_edge infallible
-            s_edges.push(net.add_edge(source, node, phi as i64, 0.0).expect("valid edge"));
-            node
-        })
-        .collect();
-    let t_nodes: Vec<usize> = parts
-        .under
-        .iter()
-        .map(|&(_, phi)| {
-            let node = net.add_node();
-            // lint: allow(no-panic): zero cost and in-range nodes make add_edge infallible
-            t_edges.push(net.add_edge(node, sink, phi as i64, 0.0).expect("valid edge"));
-            node
-        })
-        .collect();
-
-    // Plain Gd at θ₂ — the top-up deliberately skips the θ-sweep and the
-    // flow guides; `warm_delta` bounds how much demand takes this cheaper
-    // path.
-    let mut pair_edge: BTreeMap<(usize, usize), ccdn_flow::EdgeId> = BTreeMap::new();
-    for (si, &(i, phi_i)) in parts.overloaded.iter().enumerate() {
-        for (ti, &(j, phi_j)) in parts.under.iter().enumerate() {
-            let d = input.geometry.distance(HotspotId(i), HotspotId(j));
-            if d < config.theta2_km {
-                let e = net
-                    .add_edge(s_nodes[si], t_nodes[ti], phi_i.min(phi_j) as i64, d)
-                    // lint: allow(no-panic): cost is a finite non-negative geometry distance
-                    .expect("valid edge");
-                pair_edge.insert((i, j), e);
-            }
-        }
-    }
-
-    // Clamp the previous flows to today's slacks and commit them.
-    let over_slot: BTreeMap<usize, usize> =
-        parts.overloaded.iter().enumerate().map(|(si, &(i, _))| (i, si)).collect();
-    let under_slot: BTreeMap<usize, usize> =
-        parts.under.iter().enumerate().map(|(ti, &(j, _))| (j, ti)).collect();
-    let mut over_left: Vec<u64> = parts.overloaded.iter().map(|&(_, p)| p).collect();
-    let mut under_left: Vec<u64> = parts.under.iter().map(|&(_, p)| p).collect();
-    let mut committed_out: Vec<u64> = vec![0; parts.overloaded.len()];
-    let mut committed_in: Vec<u64> = vec![0; parts.under.len()];
-    for &((i, j), f) in cached {
-        let (Some(&si), Some(&ti)) = (over_slot.get(&i), under_slot.get(&j)) else {
-            continue;
-        };
-        let Some(&edge) = pair_edge.get(&(i, j)) else {
-            continue;
-        };
-        let keep = f.min(over_left[si]).min(under_left[ti]);
-        if keep == 0 {
-            continue;
-        }
-        // lint: allow(no-panic): keep ≤ the pair arc's min(φ_i, φ_j) capacity by the clamps
-        net.preload_edge_flow(edge, keep as i64).expect("preload within residual");
-        over_left[si] -= keep;
-        under_left[ti] -= keep;
-        committed_out[si] += keep;
-        committed_in[ti] += keep;
-    }
-    for (si, &e) in s_edges.iter().enumerate() {
-        if committed_out[si] > 0 {
-            // lint: allow(no-panic): the skeleton arc's capacity is the full slack φ_i
-            net.preload_edge_flow(e, committed_out[si] as i64).expect("preload within residual");
-        }
-    }
-    for (ti, &e) in t_edges.iter().enumerate() {
-        if committed_in[ti] > 0 {
-            // lint: allow(no-panic): the skeleton arc's capacity is the full slack φ_j
-            net.preload_edge_flow(e, committed_in[ti] as i64).expect("preload within residual");
-        }
-    }
-
-    // lint: allow(no-panic): source and sink are two distinct freshly added nodes
-    let _ = net.min_cost_flow_bounded(source, sink, i64::MAX).expect("valid endpoints");
-    pair_edge
-        .into_iter()
-        .filter_map(|((i, j), e)| {
-            let f = net.edge_flow(e);
-            (f > 0).then_some(((i, j), f as u64))
-        })
-        .collect()
 }
 
 /// Maximum cross-tile partners considered per border hotspot — keeps the

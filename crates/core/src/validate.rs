@@ -277,7 +277,7 @@ mod tests {
         let trace = TraceConfig::small_test().generate();
         let geometry = HotspotGeometry::new(trace.region, &trace.hotspots);
         let config = RbcaerConfig::default();
-        let scheme = Rbcaer::new(config.clone());
+        let scheme = Rbcaer::new(config);
         let service: Vec<u64> =
             trace.hotspots.iter().map(|h| u64::from(h.service_capacity)).collect();
         let cache: Vec<u64> = trace.hotspots.iter().map(|h| u64::from(h.cache_capacity)).collect();
@@ -301,7 +301,7 @@ mod tests {
         let trace = TraceConfig::small_test().generate();
         let geometry = HotspotGeometry::new(trace.region, &trace.hotspots);
         let config = RbcaerConfig::default();
-        let scheme = Rbcaer::new(config.clone());
+        let scheme = Rbcaer::new(config);
         let service: Vec<u64> =
             trace.hotspots.iter().map(|h| u64::from(h.service_capacity)).collect();
         let cache: Vec<u64> = trace.hotspots.iter().map(|h| u64::from(h.cache_capacity)).collect();
@@ -331,7 +331,7 @@ mod tests {
         let trace = TraceConfig::small_test().generate();
         let geometry = HotspotGeometry::new(trace.region, &trace.hotspots);
         let config = RbcaerConfig { replication_budget: Some(3), ..RbcaerConfig::default() };
-        let scheme = Rbcaer::new(config.clone());
+        let scheme = Rbcaer::new(config);
         let service: Vec<u64> =
             trace.hotspots.iter().map(|h| u64::from(h.service_capacity)).collect();
         let cache: Vec<u64> = trace.hotspots.iter().map(|h| u64::from(h.cache_capacity)).collect();

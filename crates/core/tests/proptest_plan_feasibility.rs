@@ -55,7 +55,7 @@ proptest! {
         churn_mask in 0u32..16,
     ) {
         let geometry = HotspotGeometry::new(trace.region, &trace.hotspots);
-        let scheme = Rbcaer::new(config.clone());
+        let scheme = Rbcaer::new(config);
         // Knock out a deterministic subset of hotspots to exercise the
         // offline-ownership invariants (zero service/cache capacity).
         let service: Vec<u64> = trace

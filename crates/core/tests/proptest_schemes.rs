@@ -78,14 +78,13 @@ proptest! {
         trace in trace_strategy(),
         tile_km in prop::sample::select(vec![0.5, 2.0, 4.0, 8.0]),
         border_km in prop::sample::select(vec![0.0, 0.5, 1.5]),
-        warm_delta in prop::sample::select(vec![0.0, 0.25, 1e18]),
     ) {
         let config = RbcaerConfig::default();
-        let shard = ShardConfig { tile_km, border_km, warm_delta };
+        let shard = ShardConfig { tile_km, border_km };
         let mut scheme = LongestRedirect { inner: ShardedRbcaer::new(config, shard), km: 0.0 };
         Runner::new(&trace).run(&mut scheme).expect("sharded validates");
-        // The paper's collaboration radius (§IV-A) binds tile-local,
-        // top-up and border flows alike.
+        // The paper's collaboration radius (§IV-A) binds tile-local and
+        // border flows alike.
         prop_assert!(
             scheme.km <= config.theta2_km + 1e-6,
             "a request moved {} km, past θ₂ = {} km",

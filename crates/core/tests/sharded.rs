@@ -1,12 +1,11 @@
 //! Differential contract of the sharded planner against monolithic
 //! RBCAer: byte-identical plans when everything fits one tile, a bounded
-//! gap under real tiling, thread-count invariance, and warm-start
-//! equivalence at a zero delta threshold.
+//! gap under real tiling, thread-count invariance, and plans that depend
+//! on the slot input alone.
 
 use ccdn_core::{Rbcaer, RbcaerConfig, ShardConfig, ShardedRbcaer};
-use ccdn_sim::{HotspotGeometry, Runner, Scheme, SlotDemand, SlotInput};
+use ccdn_sim::{HotspotGeometry, Runner, Scheme, SlotDemand, SlotInput, Target};
 use ccdn_trace::{Trace, TraceConfig};
-use proptest::prelude::*;
 
 fn trace_with_seed(seed: u64) -> Trace {
     TraceConfig::small_test()
@@ -35,16 +34,15 @@ fn for_each_slot(trace: &Trace, mut f: impl FnMut(&SlotInput<'_>)) {
     }
 }
 
-/// One tile spanning the whole region and no top-up is the monolithic
-/// planner: every slot's decision must be byte-identical to
-/// [`Rbcaer::plan`].
+/// One tile spanning the whole region is the monolithic planner: every
+/// slot's decision must be byte-identical to [`Rbcaer::plan`].
 #[test]
 fn single_tile_cold_matches_flat_rbcaer_exactly() {
     let trace = trace_with_seed(5);
     let flat = Rbcaer::new(RbcaerConfig::default());
     let mut sharded = ShardedRbcaer::new(
         RbcaerConfig::default(),
-        ShardConfig { tile_km: 10_000.0, warm_delta: 0.0, ..ShardConfig::default() },
+        ShardConfig { tile_km: 10_000.0, ..ShardConfig::default() },
     );
     for_each_slot(&trace, |input| {
         assert_eq!(sharded.schedule(input), flat.plan(input));
@@ -83,7 +81,7 @@ fn plans_are_thread_count_invariant() {
         ccdn_par::set_threads(threads);
         let report = runner.run(&mut ShardedRbcaer::new(RbcaerConfig::default(), shard)).unwrap();
         // Strip wall-clock timings: only the planned bytes must match.
-        let metrics: Vec<_> = report.slots.iter().map(|s| s.metrics.clone()).collect();
+        let metrics: Vec<_> = report.slots.iter().map(|s| s.metrics).collect();
         reports.push((metrics, report.total));
     }
     ccdn_par::set_threads(0);
@@ -91,72 +89,36 @@ fn plans_are_thread_count_invariant() {
     assert_eq!(reports[0], reports[2], "1-thread vs 8-thread plans diverge");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-    /// With `warm_delta = 0` the warm path only ever replays a tile whose
-    /// loads are byte-identical to the previous slot — which by determinism
-    /// is exactly what a cold solve would produce. The cold reference drops
-    /// its tile cache before every slot. Property-checked over seeds.
-    #[test]
-    fn prop_warm_start_at_zero_delta_equals_cold(seed in 0u64..200) {
-        let trace = trace_with_seed(seed);
-        let shard =
-            ShardConfig { tile_km: 4.0, warm_delta: 0.0, ..ShardConfig::default() };
-        let mut warm = ShardedRbcaer::new(RbcaerConfig::default(), shard);
-        let mut cold = ShardedRbcaer::new(RbcaerConfig::default(), shard);
-        for_each_slot(&trace, |input| {
-            cold.reset_warm_state();
-            assert_eq!(warm.schedule(input), cold.schedule(input));
-        });
-    }
-}
-
-/// The top-up path (huge `warm_delta` forces it whenever a tile changed)
-/// still yields a feasible, validated plan covering all demand, and its
-/// serving ratio stays within a bounded gap of the always-cold planner
-/// (`warm_delta = 0`, which plans the same bytes).
+/// S-RBCAer plans each slot from that slot's input alone: a long-lived
+/// planner returns a fresh planner's plan on every slot, and again when
+/// the same demand comes back with every redirect target's service and
+/// cache capacity taken away.
 #[test]
-fn topup_path_validates_and_stays_close_to_cold() {
-    let trace = trace_with_seed(13);
-    let runner = Runner::new(&trace);
-    let base = ShardConfig { tile_km: 4.0, ..ShardConfig::default() };
-    let cold = runner
-        .run(&mut ShardedRbcaer::new(
-            RbcaerConfig::default(),
-            ShardConfig { warm_delta: 0.0, ..base },
-        ))
-        .unwrap();
-    let warm = runner
-        .run(&mut ShardedRbcaer::new(
-            RbcaerConfig::default(),
-            ShardConfig { warm_delta: 1e18, ..base },
-        ))
-        .unwrap();
-    assert_eq!(warm.total.sums.total_requests, trace.requests.len() as u64);
-    let gap = cold.total.hotspot_serving_ratio() - warm.total.hotspot_serving_ratio();
-    assert!(
-        gap < 0.05,
-        "top-up serving ratio {} trails cold {} by more than 5 points",
-        warm.total.hotspot_serving_ratio(),
-        cold.total.hotspot_serving_ratio()
-    );
-}
-
-#[test]
-fn reset_warm_state_forces_cold_replan() {
+fn plans_depend_on_the_slot_input_alone() {
     let trace = trace_with_seed(17);
     let shard = ShardConfig { tile_km: 4.0, ..ShardConfig::default() };
-    let mut stateful = ShardedRbcaer::new(RbcaerConfig::default(), shard);
-    let mut stateless = ShardedRbcaer::new(RbcaerConfig::default(), shard);
+    let fresh = || ShardedRbcaer::new(RbcaerConfig::default(), shard);
+    let mut long_lived = fresh();
+    let mut drained_targets = 0;
     for_each_slot(&trace, |input| {
-        stateless.reset_warm_state();
-        // A reset scheduler always cold-solves, so it must agree with the
-        // never-warmed scheduler's very first slot behaviour.
-        let _ = stateful.schedule(input);
-        let fresh = stateless.schedule(input);
-        let mut once = ShardedRbcaer::new(RbcaerConfig::default(), shard);
-        assert_eq!(fresh, once.schedule(input));
+        let plan = long_lived.schedule(input);
+        assert_eq!(plan, fresh().schedule(input));
+
+        let mut service = input.service_capacity.to_vec();
+        let mut cache = input.cache_capacity.to_vec();
+        for a in &plan.assignments {
+            if let Target::Hotspot(to) = a.target {
+                if to != a.from && service[to.0] + cache[to.0] > 0 {
+                    service[to.0] = 0;
+                    cache[to.0] = 0;
+                    drained_targets += 1;
+                }
+            }
+        }
+        let drained = SlotInput { service_capacity: &service, cache_capacity: &cache, ..*input };
+        assert_eq!(long_lived.schedule(&drained), fresh().schedule(&drained));
     });
+    assert!(drained_targets > 0, "no slot redirected a request");
 }
 
 #[test]
@@ -164,7 +126,6 @@ fn shard_config_rejects_bad_geometry() {
     assert!(ShardConfig { tile_km: 0.0, ..ShardConfig::default() }.validate().is_err());
     assert!(ShardConfig { tile_km: f64::NAN, ..ShardConfig::default() }.validate().is_err());
     assert!(ShardConfig { border_km: -1.0, ..ShardConfig::default() }.validate().is_err());
-    assert!(ShardConfig { warm_delta: -0.1, ..ShardConfig::default() }.validate().is_err());
     assert!(ShardedRbcaer::try_new(
         RbcaerConfig::default(),
         ShardConfig { tile_km: -3.0, ..ShardConfig::default() }

@@ -2,7 +2,7 @@ use crate::network::{FlowError, FlowNetwork};
 use ccdn_obs::Counter;
 use std::cmp::Ordering;
 
-/// MCMF solver entry points taken (all algorithms, bounded included).
+/// MCMF solver entry points taken (all algorithms).
 static SOLVES: Counter = Counter::new("flow.mcmf.solves");
 /// Shortest-path rounds of the Dijkstra-with-potentials solver.
 static DIJKSTRA_ROUNDS: Counter = Counter::new("flow.mcmf.dijkstra_rounds");
@@ -194,61 +194,7 @@ impl FlowNetwork {
         Ok(McmfResult { flow, cost })
     }
 
-    /// Computes a **minimum-cost flow of value at most `limit`** from
-    /// `source` to `sink` using successive shortest paths (Dijkstra with
-    /// potentials): pushes along cheapest paths until either `limit` is
-    /// reached or no augmenting path remains. With `limit = i64::MAX`
-    /// this is exactly [`min_cost_max_flow`](Self::min_cost_max_flow).
-    ///
-    /// RBCAer's Algorithm 1 computes `maxflow` as an explicit bound on the
-    /// movable workload; this entry point lets callers balance *part* of
-    /// the overload (e.g. budget-limited migration).
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::NodeOutOfRange`] / [`FlowError::SourceIsSink`] for
-    /// invalid endpoints, [`FlowError::NegativeCapacity`] if `limit < 0`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ccdn_flow::FlowNetwork;
-    ///
-    /// let mut net = FlowNetwork::with_nodes(2);
-    /// net.add_edge(0, 1, 5, 1.0)?;
-    /// net.add_edge(0, 1, 5, 3.0)?;
-    /// let r = net.min_cost_flow_bounded(0, 1, 7)?;
-    /// assert_eq!(r.flow, 7);
-    /// // 5 cheap units + 2 expensive ones.
-    /// assert_eq!(r.cost, 5.0 + 2.0 * 3.0);
-    /// # Ok::<(), ccdn_flow::FlowError>(())
-    /// ```
-    pub fn min_cost_flow_bounded(
-        &mut self,
-        source: usize,
-        sink: usize,
-        limit: i64,
-    ) -> Result<McmfResult, FlowError> {
-        self.check_endpoints(source, sink)?;
-        if limit < 0 {
-            return Err(FlowError::NegativeCapacity);
-        }
-        SOLVES.incr();
-        let _span = ccdn_obs::span("flow.mcmf.solve");
-        let result = self.mcmf_dijkstra_bounded(source, sink, limit);
-        #[cfg(feature = "strict-invariants")]
-        if let Err(violation) = crate::validate::check_min_cost_flow(self, source, sink) {
-            // lint: allow(no-panic): strict-invariants deliberately aborts on a violated invariant
-            panic!("strict-invariants: bounded min-cost flow is not optimal: {violation}");
-        }
-        Ok(result)
-    }
-
     fn mcmf_dijkstra(&mut self, source: usize, sink: usize) -> McmfResult {
-        self.mcmf_dijkstra_bounded(source, sink, i64::MAX)
-    }
-
-    fn mcmf_dijkstra_bounded(&mut self, source: usize, sink: usize, limit: i64) -> McmfResult {
         let n = self.node_count();
         let mut potential = vec![0.0f64; n];
         let mut total_flow = 0i64;
@@ -260,7 +206,7 @@ impl FlowNetwork {
         let mut heap = BinaryHeap::new();
         let mut rounds = 0u64;
 
-        while total_flow < limit {
+        while total_flow < i64::MAX {
             rounds += 1;
             dist.iter_mut().for_each(|d| *d = f64::INFINITY);
             prev_arc.iter_mut().for_each(|p| *p = usize::MAX);
@@ -297,7 +243,7 @@ impl FlowNetwork {
                 }
             }
             // Find bottleneck along the shortest path, then push.
-            let mut bottleneck = limit - total_flow;
+            let mut bottleneck = i64::MAX - total_flow;
             let mut v = sink;
             while v != source {
                 let a = prev_arc[v];
@@ -431,82 +377,13 @@ mod tests {
     }
 
     #[test]
-    fn bounded_flow_limits_and_prefers_cheap_paths() {
-        let mut net = FlowNetwork::with_nodes(2);
-        net.add_edge(0, 1, 5, 1.0).unwrap();
-        net.add_edge(0, 1, 5, 3.0).unwrap();
-        let r = net.min_cost_flow_bounded(0, 1, 3).unwrap();
-        assert_eq!(r.flow, 3);
-        assert_eq!(r.cost, 3.0); // all on the cheap edge
-    }
-
-    #[test]
-    fn bounded_flow_zero_limit_moves_nothing() {
-        let mut net = FlowNetwork::with_nodes(2);
-        net.add_edge(0, 1, 5, 1.0).unwrap();
-        let r = net.min_cost_flow_bounded(0, 1, 0).unwrap();
-        assert_eq!(r, McmfResult { flow: 0, cost: 0.0 });
-        assert!(net.edges().iter().all(|e| e.flow == 0));
-    }
-
-    #[test]
-    fn bounded_flow_above_maxflow_equals_max_flow() {
-        let mut net = FlowNetwork::with_nodes(3);
-        net.add_edge(0, 1, 4, 1.0).unwrap();
-        net.add_edge(1, 2, 4, 1.0).unwrap();
-        let r = net.min_cost_flow_bounded(0, 2, 1_000).unwrap();
-        assert_eq!(r.flow, 4);
-        assert_eq!(r.cost, 8.0);
-    }
-
-    #[test]
-    fn bounded_flow_rejects_negative_limit() {
-        let mut net = FlowNetwork::with_nodes(2);
-        net.add_edge(0, 1, 1, 0.0).unwrap();
-        assert_eq!(net.min_cost_flow_bounded(0, 1, -1), Err(FlowError::NegativeCapacity));
-    }
-
-    proptest! {
-        #[test]
-        fn prop_bounded_cost_is_monotone_and_convex_in_limit(
-            edges in prop::collection::vec(
-                (0usize..6, 0usize..6, 1i64..8, 0.0f64..5.0),
-                1..16,
-            ),
-        ) {
-            let mut net = FlowNetwork::with_nodes(6);
-            for (u, v, c, w) in edges {
-                if u != v {
-                    net.add_edge(u, v, c, w).unwrap();
-                }
-            }
-            let mut costs = Vec::new();
-            let mut last_flow = 0;
-            for limit in 0..10 {
-                // Reuse one network across probes: reset_flow restores
-                // every capacity, so no per-probe clone is needed.
-                net.reset_flow();
-                let r = net.min_cost_flow_bounded(0, 5, limit).unwrap();
-                prop_assert!(r.flow <= limit);
-                prop_assert!(r.flow >= last_flow);
-                last_flow = r.flow;
-                costs.push(r.cost);
-            }
-            // Cost is non-decreasing in the limit.
-            for w in costs.windows(2) {
-                prop_assert!(w[1] >= w[0] - 1e-9);
-            }
-        }
-    }
-
-    #[test]
     // lint: allow(hot-loop-alloc): the reference side of this differential
     // test must solve a fresh clone per probe — that is the point.
     fn reset_flow_reuse_matches_fresh_clone_per_probe() {
         // Differential check for the reset_flow reuse pattern: probing
-        // a network at increasing limits after reset_flow() must give
+        // one network towards every sink after reset_flow() must give
         // exactly the results (totals and per-edge flows) of solving a
-        // fresh clone at each limit.
+        // fresh clone for that sink.
         let mut rng = StdRng::seed_from_u64(9001);
         for _ in 0..10 {
             let n = rng.gen_range(3..8);
@@ -519,21 +396,23 @@ mod tests {
                 }
             }
             let pristine = net.clone();
-            for limit in 0..8 {
+            for sink in 1..n {
                 net.reset_flow();
-                let reused = net.min_cost_flow_bounded(0, n - 1, limit).unwrap();
+                let reused = net.min_cost_max_flow(0, sink, McmfAlgorithm::SspDijkstra).unwrap();
                 let mut fresh = pristine.clone();
-                let expected = fresh.min_cost_flow_bounded(0, n - 1, limit).unwrap();
-                assert_eq!(reused.flow, expected.flow, "flow diverged at limit {limit}");
-                assert!(
-                    (reused.cost - expected.cost).abs() < 1e-9,
-                    "cost diverged at limit {limit}: {} vs {}",
+                let expected =
+                    fresh.min_cost_max_flow(0, sink, McmfAlgorithm::SspDijkstra).unwrap();
+                assert_eq!(reused.flow, expected.flow, "flow diverged at sink {sink}");
+                assert_eq!(
+                    reused.cost.to_bits(),
+                    expected.cost.to_bits(),
+                    "cost diverged at sink {sink}: {} vs {}",
                     reused.cost,
                     expected.cost
                 );
                 let reused_edges: Vec<i64> = net.edges().iter().map(|e| e.flow).collect();
                 let fresh_edges: Vec<i64> = fresh.edges().iter().map(|e| e.flow).collect();
-                assert_eq!(reused_edges, fresh_edges, "edge flows diverged at limit {limit}");
+                assert_eq!(reused_edges, fresh_edges, "edge flows diverged at sink {sink}");
             }
         }
     }

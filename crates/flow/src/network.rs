@@ -20,16 +20,6 @@ pub enum FlowError {
     BadCost,
     /// Source and sink were the same node.
     SourceIsSink,
-    /// An [`EdgeId`] did not come from this network.
-    UnknownEdge,
-    /// A warm-start preload asked for more flow than the edge's residual
-    /// capacity.
-    PreloadExceedsResidual {
-        /// Units of flow the preload requested.
-        requested: i64,
-        /// Residual capacity the edge had left.
-        available: i64,
-    },
 }
 
 impl fmt::Display for FlowError {
@@ -41,10 +31,6 @@ impl fmt::Display for FlowError {
             FlowError::NegativeCapacity => write!(f, "edge capacity must be non-negative"),
             FlowError::BadCost => write!(f, "edge cost must be finite and non-negative"),
             FlowError::SourceIsSink => write!(f, "source and sink must differ"),
-            FlowError::UnknownEdge => write!(f, "edge id does not belong to this network"),
-            FlowError::PreloadExceedsResidual { requested, available } => {
-                write!(f, "preload of {requested} exceeds residual capacity {available}")
-            }
         }
     }
 }
@@ -296,67 +282,6 @@ impl FlowNetwork {
             .collect()
     }
 
-    /// Preloads `amount` units of **committed** flow onto edge `id` — the
-    /// warm-start entry point for incremental re-planning.
-    ///
-    /// The preloaded units are treated as kept: the edge's residual
-    /// capacity shrinks by `amount`, but no residual reverse capacity is
-    /// credited, so a subsequent solve cannot reroute them. A successive-
-    /// shortest-path solve after preloading therefore computes a
-    /// **minimum-cost completion given the preload** over a residual graph
-    /// whose costs stay non-negative (exposing reverse arcs of an
-    /// arbitrary preloaded flow could create negative residual cycles,
-    /// which the Dijkstra-with-potentials solver is not equipped to
-    /// cancel). [`FlowNetwork::edge_flow`] reports preload plus solver
-    /// flow; the preload's cost is *not* included in a later
-    /// [`McmfResult`](crate::McmfResult) — callers account for it when
-    /// they apply the previous plan's flows.
-    ///
-    /// [`FlowNetwork::reset_flow`] clears preloads along with solver flow.
-    ///
-    /// # Errors
-    ///
-    /// - [`FlowError::UnknownEdge`] if `id` is not a forward edge of this
-    ///   network;
-    /// - [`FlowError::NegativeCapacity`] if `amount < 0`;
-    /// - [`FlowError::PreloadExceedsResidual`] if `amount` exceeds the
-    ///   edge's remaining residual capacity.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ccdn_flow::FlowNetwork;
-    ///
-    /// let mut net = FlowNetwork::with_nodes(2);
-    /// let cheap = net.add_edge(0, 1, 5, 1.0)?;
-    /// let dear = net.add_edge(0, 1, 5, 3.0)?;
-    /// // Yesterday's plan pushed 2 units on the expensive edge; keep them.
-    /// net.preload_edge_flow(dear, 2)?;
-    /// let r = net.min_cost_flow_bounded(0, 1, 5)?;
-    /// assert_eq!(r.flow, 5); // top-up routed on the cheap edge
-    /// assert_eq!(net.edge_flow(cheap), 5);
-    /// assert_eq!(net.edge_flow(dear), 2);
-    /// # Ok::<(), ccdn_flow::FlowError>(())
-    /// ```
-    // lint: allow(unchecked-arith-reach): the residual subtraction is guarded by the
-    // PreloadExceedsResidual check directly above it
-    pub fn preload_edge_flow(&mut self, id: EdgeId, amount: i64) -> Result<(), FlowError> {
-        if !id.0.is_multiple_of(2) || id.0 / 2 >= self.original_caps.len() {
-            return Err(FlowError::UnknownEdge);
-        }
-        if amount < 0 {
-            return Err(FlowError::NegativeCapacity);
-        }
-        let Some(cap) = self.arc_cap.get_mut(id.0) else {
-            return Err(FlowError::UnknownEdge);
-        };
-        if amount > *cap {
-            return Err(FlowError::PreloadExceedsResidual { requested: amount, available: *cap });
-        }
-        *cap -= amount;
-        Ok(())
-    }
-
     /// Resets all flows to zero, restoring original capacities.
     pub fn reset_flow(&mut self) {
         for (pair, &cap) in self.arc_cap.chunks_exact_mut(2).zip(&self.original_caps) {
@@ -494,34 +419,8 @@ mod tests {
             FlowError::NegativeCapacity,
             FlowError::BadCost,
             FlowError::SourceIsSink,
-            FlowError::UnknownEdge,
-            FlowError::PreloadExceedsResidual { requested: 5, available: 2 },
         ] {
             assert!(!format!("{err}").is_empty());
         }
-    }
-
-    #[test]
-    fn preload_validates_and_commits_flow() {
-        let mut net = FlowNetwork::with_nodes(2);
-        let e = net.add_edge(0, 1, 7, 1.0).unwrap();
-        assert_eq!(net.preload_edge_flow(EdgeId(1), 1), Err(FlowError::UnknownEdge));
-        assert_eq!(net.preload_edge_flow(EdgeId(8), 1), Err(FlowError::UnknownEdge));
-        assert_eq!(net.preload_edge_flow(e, -1), Err(FlowError::NegativeCapacity));
-        assert_eq!(
-            net.preload_edge_flow(e, 8),
-            Err(FlowError::PreloadExceedsResidual { requested: 8, available: 7 })
-        );
-        net.preload_edge_flow(e, 3).unwrap();
-        assert_eq!(net.edge_flow(e), 3);
-        // A second preload sees the shrunk residual.
-        assert_eq!(
-            net.preload_edge_flow(e, 5),
-            Err(FlowError::PreloadExceedsResidual { requested: 5, available: 4 })
-        );
-        net.preload_edge_flow(e, 4).unwrap();
-        assert_eq!(net.edge_flow(e), 7);
-        net.reset_flow();
-        assert_eq!(net.edge_flow(e), 0);
     }
 }

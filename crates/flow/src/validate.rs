@@ -19,8 +19,7 @@
 //!
 //! The functions are always available (tests and property checks use them
 //! directly); with the `strict-invariants` feature the solvers also run
-//! [`check_mcmf_optimal`] / [`check_min_cost_flow`] on every solution and
-//! abort on violation.
+//! [`check_mcmf_optimal`] on every solution and abort on violation.
 
 use crate::network::FlowNetwork;
 use ccdn_obs::Counter;
@@ -228,24 +227,6 @@ pub fn check_mcmf_optimal(
     check_min_cost_certificate(net)
 }
 
-/// Certificate for [`FlowNetwork::min_cost_flow_bounded`]: capacity
-/// bounds, conservation, and minimum cost *for the achieved value*
-/// (maximality is deliberately not required — the caller bounded the
-/// flow).
-///
-/// # Errors
-///
-/// The first [`FlowViolation`] found, if any.
-pub fn check_min_cost_flow(
-    net: &FlowNetwork,
-    source: usize,
-    sink: usize,
-) -> Result<(), FlowViolation> {
-    check_capacity_bounds(net)?;
-    check_conservation(net, source, sink)?;
-    check_min_cost_certificate(net)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,14 +292,5 @@ mod tests {
         net.arc_cap[e.0] -= 2;
         net.arc_cap[e.0 ^ 1] += 2;
         assert!(check_conservation(&net, 0, 2).is_err());
-    }
-
-    #[test]
-    fn bounded_flow_passes_without_maximality() {
-        let (mut net, s, t) = diamond();
-        net.min_cost_flow_bounded(s, t, 2).unwrap();
-        check_min_cost_flow(&net, s, t).unwrap();
-        // But it is not a max flow, and the check says so.
-        assert!(check_max_flow(&net, s, t).is_err());
     }
 }

@@ -10,9 +10,7 @@
 //! - [`GridIndex`]: a uniform-grid spatial index supporting exact
 //!   nearest-neighbour and radius queries, used to map each user request to
 //!   its nearest content hotspot and to enumerate hotspot pairs within the
-//!   latency threshold `θ`;
-//! - [`KdTree`]: a balanced k-d tree answering the same queries without a
-//!   bounding region, robust to arbitrarily skewed deployments.
+//!   latency threshold `θ`.
 //!
 //! # Examples
 //!
@@ -33,13 +31,11 @@
 
 mod error;
 mod grid;
-mod kdtree;
 mod point;
 mod rect;
 
 pub use error::GeoError;
 pub use grid::GridIndex;
-pub use kdtree::KdTree;
 pub use point::Point;
 pub use rect::Rect;
 

@@ -387,7 +387,7 @@ fn nondet_taint_pass(
         // Nearest root per kind (BFS order makes "nearest" exact).
         let mut reported: BTreeSet<NondetKind> = BTreeSet::new();
         for (&root_id, kinds) in &roots {
-            if parents.get(&root_id).is_none() {
+            if !parents.contains_key(&root_id) {
                 continue;
             }
             for &kind in kinds {

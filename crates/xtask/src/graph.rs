@@ -198,46 +198,40 @@ fn scan_roots(facts: &mut FnFacts, toks: &[Tok]) {
                         tok: i,
                     });
                 }
-                "thread" => {
+                "thread"
                     if toks.get(i + 1).is_some_and(|t| t.text == "::")
-                        && toks.get(i + 2).is_some_and(|t| t.text == "spawn" || t.text == "scope")
-                    {
-                        facts.nondet.entry(NondetKind::Thread).or_insert_with(|| RootSite {
-                            line,
-                            what: format!("`thread::{}`", toks[i + 2].text),
-                            tok: i,
-                        });
-                    }
+                        && toks
+                            .get(i + 2)
+                            .is_some_and(|t| t.text == "spawn" || t.text == "scope") =>
+                {
+                    facts.nondet.entry(NondetKind::Thread).or_insert_with(|| RootSite {
+                        line,
+                        what: format!("`thread::{}`", toks[i + 2].text),
+                        tok: i,
+                    });
                 }
-                "env" => {
+                "env"
                     if toks.get(i + 1).is_some_and(|t| t.text == "::")
-                        && toks.get(i + 2).is_some_and(|t| t.kind == TokKind::Ident)
-                    {
-                        facts.nondet.entry(NondetKind::Env).or_insert_with(|| RootSite {
-                            line,
-                            what: format!("`env::{}`", toks[i + 2].text),
-                            tok: i,
-                        });
-                    }
+                        && toks.get(i + 2).is_some_and(|t| t.kind == TokKind::Ident) =>
+                {
+                    facts.nondet.entry(NondetKind::Env).or_insert_with(|| RootSite {
+                        line,
+                        what: format!("`env::{}`", toks[i + 2].text),
+                        tok: i,
+                    });
                 }
-                "panic" | "unreachable" | "todo" | "unimplemented" => {
-                    if toks.get(i + 1).is_some_and(|t| t.text == "!") {
-                        facts.panics.push(RootSite {
-                            line,
-                            what: format!("`{}!`", tok.text),
-                            tok: i,
-                        });
-                    }
+                "panic" | "unreachable" | "todo" | "unimplemented"
+                    if toks.get(i + 1).is_some_and(|t| t.text == "!") =>
+                {
+                    facts.panics.push(RootSite { line, what: format!("`{}!`", tok.text), tok: i });
                 }
-                "unwrap" | "expect" => {
+                "unwrap" | "expect"
                     if i > 0
                         && toks[i - 1].text == "."
-                        && toks.get(i + 1).is_some_and(|t| t.text == "(")
-                    {
-                        let what =
-                            if tok.text == "unwrap" { "`.unwrap()`" } else { "`.expect(..)`" };
-                        facts.panics.push(RootSite { line, what: what.into(), tok: i });
-                    }
+                        && toks.get(i + 1).is_some_and(|t| t.text == "(") =>
+                {
+                    let what = if tok.text == "unwrap" { "`.unwrap()`" } else { "`.expect(..)`" };
+                    facts.panics.push(RootSite { line, what: what.into(), tok: i });
                 }
                 _ => {}
             }
@@ -393,10 +387,10 @@ fn path_at(toks: &[Tok], i: usize) -> Option<(Vec<String>, usize)> {
 /// Skips `::<...>` starting at the `::` token; returns the index just
 /// past the closing `>`.
 fn skip_turbofish(toks: &[Tok], colons: usize) -> Option<usize> {
-    if !toks.get(colons).is_some_and(|t| t.text == "::") {
+    if toks.get(colons).is_none_or(|t| t.text != "::") {
         return None;
     }
-    if !toks.get(colons + 1).is_some_and(|t| t.text == "<") {
+    if toks.get(colons + 1).is_none_or(|t| t.text != "<") {
         return None;
     }
     let mut depth = 0i32;

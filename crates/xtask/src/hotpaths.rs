@@ -103,7 +103,7 @@ pub fn parse(text: &str) -> Result<HotPaths, String> {
 
     let mut patterns = Vec::new();
     let segments: Vec<&str> = body.split('"').collect();
-    if segments.len() % 2 == 0 {
+    if segments.len().is_multiple_of(2) {
         return Err("unterminated string in `entries`".into());
     }
     for (i, seg) in segments.iter().enumerate() {

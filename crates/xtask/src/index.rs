@@ -108,10 +108,10 @@ pub fn cost_events(tokens: &[Tok], body: &Range<usize>) -> Vec<CostEvent> {
                     }
                 }
             }
-            (TokKind::Ident, mac @ ("vec" | "format")) => {
-                if tokens.get(i + 1).is_some_and(|t| t.text == "!") {
-                    push(&mut events, i, CostKind::Alloc, format!("{mac}!"));
-                }
+            (TokKind::Ident, mac @ ("vec" | "format"))
+                if tokens.get(i + 1).is_some_and(|t| t.text == "!") =>
+            {
+                push(&mut events, i, CostKind::Alloc, format!("{mac}!"));
             }
             (TokKind::Punct, ".") => {
                 let Some(method) = ident_at(tokens, i + 1) else { continue };
@@ -126,7 +126,7 @@ pub fn cost_events(tokens: &[Tok], body: &Range<usize>) -> Vec<CostEvent> {
                         None => continue,
                     }
                 }
-                if !tokens.get(j).is_some_and(|t| t.text == "(") {
+                if tokens.get(j).is_none_or(|t| t.text != "(") {
                     continue;
                 }
                 if method == "clone" {
@@ -640,7 +640,7 @@ fn parse_tuple_fields(
     open: usize,
     fields: &mut BTreeMap<String, String>,
 ) -> Option<usize> {
-    if !tokens.get(open).is_some_and(|t| t.text == "(") {
+    if tokens.get(open).is_none_or(|t| t.text != "(") {
         return None;
     }
     let d = tokens[open].depth;
@@ -764,7 +764,7 @@ fn parse_fn(
         i = skip_angles(tokens, i)?;
     }
     // Parameter list.
-    if !tokens.get(i).is_some_and(|t| t.text == "(") {
+    if tokens.get(i).is_none_or(|t| t.text != "(") {
         return None;
     }
     let params = parse_params(tokens, i);

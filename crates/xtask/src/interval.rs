@@ -207,7 +207,7 @@ impl Interval {
 
     /// True when `v` is inside.
     pub fn contains(&self, v: i128) -> bool {
-        self.lo.is_none_or(|lo| lo <= v) && self.hi.is_none_or(|hi| v >= i128::MIN && v <= hi)
+        self.lo.is_none_or(|lo| lo <= v) && self.hi.is_none_or(|hi| v <= hi)
     }
 
     /// Interval addition (checked carrier arithmetic; overflow widens to
@@ -590,7 +590,7 @@ impl<'a> Engine<'a> {
 
     /// Abstract value for a declared type text (as normalized by
     /// `index::type_text`).
-    fn from_type_text(&self, text: &str) -> AbsVal {
+    fn value_of_type_text(&self, text: &str) -> AbsVal {
         let mut text = text.trim();
         // References and leading lifetimes/`mut` don't change the value
         // abstraction.
@@ -623,11 +623,11 @@ impl<'a> Engine<'a> {
         if let Some(inner) = text.strip_prefix('[').and_then(|t| t.strip_suffix(']')) {
             // `[T; N]` fixed array or `[T]` slice.
             if let Some((elem_ty, n)) = inner.rsplit_once(';') {
-                let elem = self.from_type_text(elem_ty);
+                let elem = self.value_of_type_text(elem_ty);
                 let len = parse_int_literal(n).map(|(v, _)| Interval::exact(v));
                 return AbsVal { len, elem: Some(Box::new(elem)), ..AbsVal::default() };
             }
-            let elem = self.from_type_text(inner);
+            let elem = self.value_of_type_text(inner);
             return AbsVal {
                 len: Some(Interval { lo: Some(0), hi: Some(i64::MAX as i128) }),
                 elem: Some(Box::new(elem)),
@@ -639,7 +639,7 @@ impl<'a> Engine<'a> {
             .or_else(|| text.strip_prefix("VecDeque<"))
             .and_then(|t| t.strip_suffix('>'))
         {
-            let elem = self.from_type_text(inner);
+            let elem = self.value_of_type_text(inner);
             return AbsVal {
                 len: Some(Interval { lo: Some(0), hi: Some(i64::MAX as i128) }),
                 elem: Some(Box::new(elem)),
@@ -660,7 +660,7 @@ impl<'a> Engine<'a> {
             .structs
             .get(type_name)
             .and_then(|fields| fields.get(field))
-            .map(|ty| self.from_type_text(ty))
+            .map(|ty| self.value_of_type_text(ty))
             .unwrap_or_default();
         if let Some(b) = self.bounds {
             if let Some((lo, hi)) = b.field(type_name, field) {
@@ -677,7 +677,7 @@ impl<'a> Engine<'a> {
             return v.clone();
         }
         let item = &self.index.fns[id];
-        let template = self.from_type_text(&item.ret);
+        let template = self.value_of_type_text(&item.ret);
         if self.in_progress.borrow().contains(&id) || *self.depth.borrow() >= RET_DEPTH_CAP {
             return template;
         }
@@ -808,7 +808,7 @@ fn parse_int_literal(text: &str) -> Option<(i128, Option<IntTy>)> {
         return None;
     }
     // Split off a type suffix.
-    let (digits, suffix) = match cleaned.find(|c: char| c == 'u' || c == 'i') {
+    let (digits, suffix) = match cleaned.find(['u', 'i']) {
         // Hex digits can't contain u/i... except hex has no 'u'/'i'
         // digits, so the first occurrence is the suffix (0x prefix's 'x'
         // is ruled out below).
@@ -985,7 +985,7 @@ impl<'e, 'a> Walker<'e, 'a> {
             let mut val = if p.name == "self" {
                 AbsVal { type_name: item.self_type.clone(), ..AbsVal::default() }
             } else {
-                self.eng.from_type_text(&p.ty)
+                self.eng.value_of_type_text(&p.ty)
             };
             if let Some(b) = self.eng.bounds {
                 if let Some((lo, hi)) = b.param(&item.qname, &p.name) {
@@ -1075,7 +1075,7 @@ impl<'e, 'a> Walker<'e, 'a> {
         let decl = colon.filter(|&c| eq.is_none_or(|e| c < e)).map(|c| {
             let ty_end = eq.unwrap_or(stmt_close);
             let text = crate::index::type_text_of(self.toks, c + 1..ty_end);
-            self.eng.from_type_text(&text)
+            self.eng.value_of_type_text(&text)
         });
         let init = eq.map(|e| self.expr(env, e + 1, stmt_close).0);
         match (idents.len(), tuple_pat, init) {
@@ -1138,7 +1138,7 @@ impl<'e, 'a> Walker<'e, 'a> {
                 && self.toks.get(j + 1).is_some_and(|t| {
                     matches!(t.kind, TokKind::Ident | TokKind::Num)
                         // A method call is not an assignment target.
-                        && !self.toks.get(j + 2).is_some_and(|t2| t2.text == "(")
+                        && self.toks.get(j + 2).is_none_or(|t2| t2.text != "(")
                 })
             {
                 chain.push(self.toks[j + 1].text.clone());
@@ -1215,7 +1215,7 @@ impl<'e, 'a> Walker<'e, 'a> {
             match (&idx_span, &mut v.elem) {
                 (Some(_), Some(e)) => {
                     let joined = e.join(&new_val);
-                    *e = Box::new(joined);
+                    **e = joined;
                 }
                 _ => v.havoc(),
             }
@@ -1233,7 +1233,7 @@ impl<'e, 'a> Walker<'e, 'a> {
     fn oracle_val(&self, name: &str) -> AbsVal {
         match self.eng.oracle.get(name) {
             Some(Some(ty)) => {
-                let mut v = self.eng.from_type_text(ty);
+                let mut v = self.eng.value_of_type_text(ty);
                 // Types only: an oracle hit must not import value bounds
                 // because the binding's provenance is unknown.
                 if let Ty::Int(t) = v.ty {
@@ -1409,7 +1409,7 @@ impl<'e, 'a> Walker<'e, 'a> {
             let (rhs, next) = self.expr_bp(env, pos + op_len, end, r_bp);
             let rhs_parsed = next > pos + op_len;
             pos = if rhs_parsed { next } else { pos + op_len };
-            lhs = self.apply_binop(env, op_i, &op, &lhs, &rhs, rhs_parsed);
+            lhs = self.apply_binop(env, op_i, &op, &lhs, &rhs);
             if !rhs_parsed && !matches!(op.as_str(), ".." | "..=") {
                 break; // malformed tail; stop extending
             }
@@ -1425,7 +1425,6 @@ impl<'e, 'a> Walker<'e, 'a> {
         op: &str,
         lhs: &AbsVal,
         rhs: &AbsVal,
-        rhs_parsed: bool,
     ) -> AbsVal {
         match op {
             ".." | "..=" => {
@@ -1433,10 +1432,7 @@ impl<'e, 'a> Walker<'e, 'a> {
                 let ty = if lhs.ty != Ty::Unknown { lhs.ty } else { rhs.ty };
                 AbsVal {
                     ty,
-                    iv: Interval {
-                        lo: if rhs_parsed || op == ".." { lhs.iv.lo } else { lhs.iv.lo },
-                        hi,
-                    },
+                    iv: Interval { lo: lhs.iv.lo, hi },
                     is_range: true,
                     ..AbsVal::default()
                 }
@@ -1703,10 +1699,10 @@ impl<'e, 'a> Walker<'e, 'a> {
             while j < end && self.toks[j].text != "|" {
                 if self.toks[j].kind == TokKind::Ident
                     && !matches!(self.toks[j].text.as_str(), "mut" | "ref" | "_")
-                    && !self.toks.get(j.wrapping_sub(1)).is_some_and(|t| t.text == ":")
+                    && self.toks.get(j.wrapping_sub(1)).is_none_or(|t| t.text != ":")
                 {
                     // Only bind pattern idents, not type annotations.
-                    if !self.toks.get(j + 1).is_some_and(|t| t.text == "::") {
+                    if self.toks.get(j + 1).is_none_or(|t| t.text != "::") {
                         env.insert(self.toks[j].text.clone(), AbsVal::default());
                     }
                 }
@@ -1753,8 +1749,8 @@ fn split_commas(toks: &[Tok], start: usize, close: usize) -> Vec<Range<usize>> {
     let mut parts = Vec::new();
     let mut nest = 0i64;
     let mut s = start;
-    for j in start..close {
-        match toks[j].text.as_str() {
+    for (j, tok) in toks.iter().enumerate().take(close).skip(start) {
+        match tok.text.as_str() {
             "(" | "[" | "{" => nest += 1,
             ")" | "]" | "}" => nest -= 1,
             "," if nest == 0 => {
@@ -2831,7 +2827,7 @@ impl<'e, 'a> Walker<'e, 'a> {
             let val = if p.name == "self" {
                 AbsVal { type_name: item.self_type.clone(), ..AbsVal::default() }
             } else {
-                self.eng.from_type_text(&p.ty)
+                self.eng.value_of_type_text(&p.ty)
             };
             env.insert(p.name.clone(), val);
         }
@@ -2884,7 +2880,7 @@ impl<'e, 'a> Walker<'e, 'a> {
                     continue;
                 }
                 let Some(ty_text) = fields.get(&t.text) else { continue };
-                let val = self.eng.from_type_text(ty_text);
+                let val = self.eng.value_of_type_text(ty_text);
                 match env.get(&t.text) {
                     Some(prev) if prev.ty != val.ty => {
                         env.insert(t.text.clone(), AbsVal::default());
@@ -2908,7 +2904,7 @@ impl<'e, 'a> Walker<'e, 'a> {
         }
         let tok = &self.toks[j];
         match tok.kind {
-            TokKind::Num => return num_literal_val(&tok.text),
+            TokKind::Num => num_literal_val(&tok.text),
             TokKind::Ident => {
                 // `x as f64` / `x as u32` ends on the type ident.
                 if j > start && self.toks[j - 1].text == "as" {

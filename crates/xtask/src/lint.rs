@@ -185,8 +185,7 @@ pub fn run_full(root: &Path) -> io::Result<LintRun> {
         run.waivers.extend(waivers);
     }
     run.findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    run.waivers
-        .sort_by(|a, b| (a.file.clone(), a.comment_line).cmp(&(b.file.clone(), b.comment_line)));
+    run.waivers.sort_by_key(|a| (a.file.clone(), a.comment_line));
     Ok(run)
 }
 

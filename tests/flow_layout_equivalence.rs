@@ -147,7 +147,7 @@ impl VecVecNetwork {
 
     /// Successive shortest paths with Johnson potentials over the float
     /// binary heap.
-    fn min_cost_flow_bounded(&mut self, source: usize, sink: usize, limit: i64) -> (i64, f64) {
+    fn min_cost_max_flow(&mut self, source: usize, sink: usize) -> (i64, f64) {
         let n = self.adj.len();
         let mut potential = vec![0.0f64; n];
         let mut total_flow = 0i64;
@@ -155,7 +155,7 @@ impl VecVecNetwork {
         let mut dist = vec![f64::INFINITY; n];
         let mut prev_arc = vec![usize::MAX; n];
         let mut heap = std::collections::BinaryHeap::new();
-        while total_flow < limit {
+        while total_flow < i64::MAX {
             dist.iter_mut().for_each(|d| *d = f64::INFINITY);
             prev_arc.iter_mut().for_each(|p| *p = usize::MAX);
             dist[source] = 0.0;
@@ -187,7 +187,7 @@ impl VecVecNetwork {
                     potential[v] += dist[v];
                 }
             }
-            let mut bottleneck = limit - total_flow;
+            let mut bottleneck = i64::MAX - total_flow;
             let mut v = sink;
             while v != source {
                 let a = prev_arc[v];
@@ -291,7 +291,7 @@ proptest! {
         let (template, ids) = build_csr(&inst, 4.0);
         let mut reference = build_vecvec(&inst, 4.0);
         let (source, sink) = (0, inst.nodes - 1);
-        let (want_flow, want_cost) = reference.min_cost_flow_bounded(source, sink, i64::MAX);
+        let (want_flow, want_cost) = reference.min_cost_max_flow(source, sink);
         for threads in THREAD_COUNTS {
             ccdn_par::set_threads(threads);
             let mut csr = template.clone();
@@ -318,23 +318,5 @@ proptest! {
             }
         }
         ccdn_par::set_threads(0);
-    }
-
-    /// Bounded MCMF matches the old layout at partial flow values too.
-    #[test]
-    fn bounded_mcmf_matches_vecvec_reference(
-        inst in instance_strategy(12, 50),
-        limit in 0i64..40,
-    ) {
-        let (mut csr, ids) = build_csr(&inst, 2.0);
-        let mut reference = build_vecvec(&inst, 2.0);
-        let (source, sink) = (0, inst.nodes - 1);
-        let got = csr.min_cost_flow_bounded(source, sink, limit).expect("valid endpoints");
-        let (want_flow, want_cost) = reference.min_cost_flow_bounded(source, sink, limit);
-        prop_assert_eq!(got.flow, want_flow);
-        prop_assert_eq!(got.cost.to_bits(), want_cost.to_bits());
-        for (edge, id) in ids.iter().enumerate() {
-            prop_assert_eq!(csr.edge_flow(*id), reference.edge_flow(edge));
-        }
     }
 }

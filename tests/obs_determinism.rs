@@ -134,8 +134,8 @@ fn counter_totals_are_thread_count_invariant() {
 
 /// The sharded planner's counters are thread-count invariant too, on an
 /// overloaded multi-tile deployment: 4 km tiles split the region, service
-/// capacity sits below demand, so slots solve per-tile MCMFs, reconcile
-/// border hotspots, and later slots reuse or top up earlier tile flows.
+/// capacity sits below demand, so slots solve per-tile MCMFs and reconcile
+/// border hotspots.
 #[test]
 fn sharded_counter_totals_are_thread_count_invariant() {
     let _guard = obs_guard();
@@ -159,10 +159,6 @@ fn sharded_counter_totals_are_thread_count_invariant() {
     let counter = |name: &str| delta.counters.get(name).copied().unwrap_or(0);
     assert!(counter("flow.mcmf.solves") > 0, "no tile overloaded: {}", delta.to_json());
     assert!(counter("core.sharded.border_moved") > 0, "no flow crossed a tile border");
-    assert!(
-        counter("core.sharded.tiles_topped_up") + counter("core.sharded.tiles_reused") > 0,
-        "no tile took the warm path"
-    );
 }
 
 #[test]
