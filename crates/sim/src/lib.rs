@@ -59,6 +59,7 @@ mod geometry;
 mod metrics;
 mod online;
 mod predict;
+mod rows;
 mod runner;
 mod scheme;
 pub mod validate;

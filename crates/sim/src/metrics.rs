@@ -1,6 +1,7 @@
+use crate::rows::FlatRows;
 use crate::{SlotDecision, SlotInput, Target};
 use ccdn_trace::{HotspotId, VideoId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A constraint violation detected while scoring a [`SlotDecision`].
@@ -127,16 +128,17 @@ impl SlotMetrics {
             return Err(ValidationError::ShapeMismatch);
         }
 
-        // Placement sets, checked for duplicates and cache capacity.
-        let mut cached: Vec<BTreeSet<VideoId>> = vec![BTreeSet::new(); n];
+        // Placement rows, sorted, checked for duplicates and then cache
+        // capacity, hotspot by hotspot.
+        let placed_total = decision.placements.iter().map(Vec::len).sum();
+        let mut cached = FlatRows::with_capacity(n, placed_total);
+        let mut duplicated = None;
         for (h, placement) in decision.placements.iter().enumerate() {
-            for &v in placement {
-                if !cached[h].insert(v) {
-                    return Err(ValidationError::DuplicatePlacement {
-                        hotspot: HotspotId(h),
-                        video: v,
-                    });
-                }
+            let row = cached.push_row(placement.iter().copied());
+            row.sort_unstable();
+            if row.windows(2).any(|pair| pair[0] == pair[1]) {
+                duplicated = Some(h);
+                break;
             }
             let placed = placement.len() as u64;
             if placed > input.cache_capacity[h] {
@@ -147,23 +149,47 @@ impl SlotMetrics {
                 });
             }
         }
+        if let Some(h) = duplicated {
+            // Name the first repeat in placement order.
+            let mut seen = BTreeSet::new();
+            if let Some(&video) = decision.placements[h].iter().find(|&&v| !seen.insert(v)) {
+                return Err(ValidationError::DuplicatePlacement { hotspot: HotspotId(h), video });
+            }
+        }
 
-        // Aggregate assignments per (from, video) and per target hotspot.
-        let mut assigned: BTreeMap<(HotspotId, VideoId), u64> = BTreeMap::new();
+        // Assigned counts per `(from, video)`, aligned with `per_video()`:
+        // hotspot `h`'s demand row starts at `row_start[h]`. Assignments
+        // for pairs with no demand are collected on the side.
+        let demand = input.demand;
+        let mut row_start = Vec::with_capacity(demand.hotspot_count());
+        let mut demanded_pairs = 0;
+        for h in 0..demand.hotspot_count() {
+            row_start.push(demanded_pairs);
+            demanded_pairs += demand.videos(HotspotId(h)).len();
+        }
+        let mut assigned = vec![0u64; demanded_pairs];
+        let mut undemanded: Vec<(HotspotId, VideoId, u64)> = Vec::new();
         let mut served_at: Vec<u64> = vec![0; n];
         let mut hotspot_served = 0u64;
         let mut cdn_served = 0u64;
         let mut distance_sum = 0.0f64;
         for a in &decision.assignments {
-            *assigned.entry((a.from, a.video)).or_insert(0) += a.count;
+            let pair = row_start.get(a.from.0).and_then(|&start| {
+                let row = demand.videos(a.from);
+                row.binary_search_by_key(&a.video, |d| d.video).ok().map(|i| start + i)
+            });
+            match pair {
+                Some(i) => assigned[i] += a.count,
+                None => undemanded.push((a.from, a.video, a.count)),
+            }
             match a.target {
                 Target::Hotspot(j) => {
-                    if !cached[j.0].contains(&a.video) {
+                    if !cached.row_holds(j.0, a.video) {
                         return Err(ValidationError::NotCached { hotspot: j, video: a.video });
                     }
                     served_at[j.0] += a.count;
                     hotspot_served += a.count;
-                    let base = input.demand.mean_base_distance(a.from);
+                    let base = demand.mean_base_distance(a.from);
                     let hop = if j == a.from { 0.0 } else { input.geometry.distance(a.from, j) };
                     distance_sum += a.count as f64 * (base + hop);
                 }
@@ -175,8 +201,7 @@ impl SlotMetrics {
         }
 
         // Coverage: every λ_hv exactly assigned (Eq. 4), nothing extra.
-        for (h, vd) in input.demand.per_video() {
-            let got = assigned.remove(&(h, vd.video)).unwrap_or(0);
+        for ((h, vd), &got) in demand.per_video().zip(&assigned) {
             if got != vd.count {
                 return Err(ValidationError::DemandMismatch {
                     hotspot: h,
@@ -186,13 +211,18 @@ impl SlotMetrics {
                 });
             }
         }
-        if let Some(((h, v), count)) = assigned.into_iter().find(|&(_, c)| c > 0) {
-            return Err(ValidationError::DemandMismatch {
-                hotspot: h,
-                video: v,
-                demanded: 0,
-                assigned: count,
-            });
+        undemanded.sort_unstable_by_key(|&(h, v, _)| (h, v));
+        for run in undemanded.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (hotspot, video, _) = run[0];
+            let count: u64 = run.iter().map(|&(_, _, c)| c).sum();
+            if count > 0 {
+                return Err(ValidationError::DemandMismatch {
+                    hotspot,
+                    video,
+                    demanded: 0,
+                    assigned: count,
+                });
+            }
         }
 
         // Service capacity (Eq. 6).
@@ -207,7 +237,7 @@ impl SlotMetrics {
         }
 
         Ok(SlotMetrics {
-            total_requests: input.demand.total_requests(),
+            total_requests: demand.total_requests(),
             hotspot_served,
             cdn_served,
             replicas: decision.replica_count(),
@@ -344,9 +374,11 @@ impl MetricsTotals {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HotspotGeometry, SlotDemand};
+    use crate::{route_with_failover, Assignment, HotspotGeometry, RouteOptions, SlotDemand};
     use ccdn_geo::{Point, Rect};
-    use ccdn_trace::{Hotspot, Request, UserId};
+    use ccdn_trace::{Hotspot, Request, TraceConfig, UserId};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     struct Fixture {
         geometry: HotspotGeometry,
@@ -610,5 +642,321 @@ mod tests {
         assert_eq!(m.average_distance_km(), 0.0);
         assert_eq!(m.replication_cost(), 0.0);
         assert_eq!(m.cdn_server_load(), 0.0);
+    }
+
+    #[test]
+    fn duplicate_placement_names_the_first_repeat_in_placement_order() {
+        let f = fixture();
+        let input = f.input();
+        let mut d = SlotDecision::new(2);
+        // Sorted, v1 is the smaller repeated video; in placement order the
+        // first repeat is v2.
+        for v in [1, 2, 2, 1] {
+            d.place(HotspotId(0), VideoId(v));
+        }
+        let want = ValidationError::DuplicatePlacement { hotspot: HotspotId(0), video: VideoId(2) };
+        assert_eq!(SlotMetrics::evaluate(&input, &d).unwrap_err(), want);
+        assert_eq!(reference_evaluate(&input, &d).unwrap_err(), want);
+    }
+
+    /// `evaluate` over `BTreeSet` placements and a `BTreeMap` of assigned
+    /// counts: the reference the row version must match error for error
+    /// (see the differential test below).
+    fn reference_evaluate(
+        input: &SlotInput<'_>,
+        decision: &SlotDecision,
+    ) -> Result<SlotMetrics, ValidationError> {
+        let n = input.hotspot_count();
+        if decision.placements.len() != n {
+            return Err(ValidationError::ShapeMismatch);
+        }
+        let mut cached: Vec<BTreeSet<VideoId>> = vec![BTreeSet::new(); n];
+        for (h, placement) in decision.placements.iter().enumerate() {
+            for &v in placement {
+                if !cached[h].insert(v) {
+                    return Err(ValidationError::DuplicatePlacement {
+                        hotspot: HotspotId(h),
+                        video: v,
+                    });
+                }
+            }
+            let placed = placement.len() as u64;
+            if placed > input.cache_capacity[h] {
+                return Err(ValidationError::CacheExceeded {
+                    hotspot: HotspotId(h),
+                    placed,
+                    capacity: input.cache_capacity[h],
+                });
+            }
+        }
+        let mut assigned: BTreeMap<(HotspotId, VideoId), u64> = BTreeMap::new();
+        let mut served_at: Vec<u64> = vec![0; n];
+        let mut hotspot_served = 0u64;
+        let mut cdn_served = 0u64;
+        let mut distance_sum = 0.0f64;
+        for a in &decision.assignments {
+            *assigned.entry((a.from, a.video)).or_insert(0) += a.count;
+            match a.target {
+                Target::Hotspot(j) => {
+                    if !cached[j.0].contains(&a.video) {
+                        return Err(ValidationError::NotCached { hotspot: j, video: a.video });
+                    }
+                    served_at[j.0] += a.count;
+                    hotspot_served += a.count;
+                    let base = input.demand.mean_base_distance(a.from);
+                    let hop = if j == a.from { 0.0 } else { input.geometry.distance(a.from, j) };
+                    distance_sum += a.count as f64 * (base + hop);
+                }
+                Target::Cdn => {
+                    cdn_served += a.count;
+                    distance_sum += a.count as f64 * input.geometry.cdn_distance();
+                }
+            }
+        }
+        for (h, vd) in input.demand.per_video() {
+            let got = assigned.remove(&(h, vd.video)).unwrap_or(0);
+            if got != vd.count {
+                return Err(ValidationError::DemandMismatch {
+                    hotspot: h,
+                    video: vd.video,
+                    demanded: vd.count,
+                    assigned: got,
+                });
+            }
+        }
+        if let Some(((h, v), count)) = assigned.into_iter().find(|&(_, c)| c > 0) {
+            return Err(ValidationError::DemandMismatch {
+                hotspot: h,
+                video: v,
+                demanded: 0,
+                assigned: count,
+            });
+        }
+        for (h, &served) in served_at.iter().enumerate() {
+            if served > input.service_capacity[h] {
+                return Err(ValidationError::CapacityExceeded {
+                    hotspot: HotspotId(h),
+                    assigned: served,
+                    capacity: input.service_capacity[h],
+                });
+            }
+        }
+        Ok(SlotMetrics {
+            total_requests: input.demand.total_requests(),
+            hotspot_served,
+            cdn_served,
+            replicas: decision.replica_count(),
+            distance_sum_km: distance_sum,
+            video_count: input.video_count as u64,
+        })
+    }
+
+    /// SplitMix-style mixing, so a mutation's picks follow from its seed.
+    fn mix(a: u64, b: u64) -> u64 {
+        let mut x = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        x ^= x >> 30;
+        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x ^ (x >> 31)
+    }
+
+    /// One way to break a valid decision (or its capacities).
+    #[derive(Debug, Clone, Copy)]
+    enum Mutation {
+        /// Repeat two different videos of a row, the later one first.
+        DuplicatePlacement,
+        /// Shrink a hotspot's cache below its placement count.
+        OverfullCache,
+        /// Remove an assignment.
+        DropAssignment,
+        /// Raise an assignment's count.
+        InflateAssignment,
+        /// Push a zero-count assignment for any pair straight onto the
+        /// list (`assign` would drop it).
+        ZeroCountAssignment,
+        /// Push an assignment for a pair with no demand.
+        UndemandedAssignment,
+        /// Point an assignment at a hotspot that does not cache its video.
+        UncachedTarget,
+        /// Shrink a serving hotspot's service capacity below its load.
+        OverservedHotspot,
+    }
+
+    const MUTATIONS: [Mutation; 8] = [
+        Mutation::DuplicatePlacement,
+        Mutation::OverfullCache,
+        Mutation::DropAssignment,
+        Mutation::InflateAssignment,
+        Mutation::ZeroCountAssignment,
+        Mutation::UndemandedAssignment,
+        Mutation::UncachedTarget,
+        Mutation::OverservedHotspot,
+    ];
+
+    fn mutate(
+        m: Mutation,
+        seed: u64,
+        d: &mut SlotDecision,
+        demand: &SlotDemand,
+        service: &mut [u64],
+        cache: &mut [u64],
+        videos: u32,
+    ) {
+        let n = d.placements.len();
+        let h = (seed % n as u64) as usize;
+        let pick = |len: usize, salt: u64| (mix(seed, salt) % len.max(1) as u64) as usize;
+        match m {
+            Mutation::DuplicatePlacement => {
+                let row = &mut d.placements[h];
+                match row.len() {
+                    0 => row.extend([VideoId(0), VideoId(0)]),
+                    1 => row.push(row[0]),
+                    len => {
+                        let i = pick(len - 1, 1);
+                        let j = i + 1 + pick(len - 1 - i, 2);
+                        let (a, b) = (row[i], row[j]);
+                        row.extend([b, a]);
+                    }
+                }
+            }
+            Mutation::OverfullCache => {
+                if d.placements[h].is_empty() {
+                    d.placements[h].push(VideoId(videos));
+                }
+                cache[h] = d.placements[h].len() as u64 - 1;
+            }
+            Mutation::DropAssignment => {
+                if !d.assignments.is_empty() {
+                    d.assignments.remove(pick(d.assignments.len(), 3));
+                }
+            }
+            Mutation::InflateAssignment => {
+                if !d.assignments.is_empty() {
+                    let i = pick(d.assignments.len(), 4);
+                    d.assignments[i].count += 1 + seed % 3;
+                }
+            }
+            Mutation::ZeroCountAssignment => {
+                let video = VideoId((mix(seed, 5) % u64::from(videos + 1)) as u32);
+                d.assignments.push(Assignment {
+                    from: HotspotId(h),
+                    video,
+                    target: Target::Cdn,
+                    count: 0,
+                });
+            }
+            Mutation::UndemandedAssignment => {
+                let video = (0..=videos)
+                    .map(VideoId)
+                    .find(|&v| demand.video_demand(HotspotId(h), v) == 0)
+                    .unwrap_or(VideoId(videos + 1));
+                let target = match d.placements.iter().position(|p| p.contains(&video)) {
+                    Some(j) if seed.is_multiple_of(2) => Target::Hotspot(HotspotId(j)),
+                    _ => Target::Cdn,
+                };
+                d.assignments.push(Assignment {
+                    from: HotspotId(h),
+                    video,
+                    target,
+                    count: 1 + seed % 4,
+                });
+            }
+            Mutation::UncachedTarget => {
+                if !d.assignments.is_empty() {
+                    let i = pick(d.assignments.len(), 6);
+                    let video = d.assignments[i].video;
+                    if let Some(j) = (0..n).find(|&j| !d.placements[j].contains(&video)) {
+                        d.assignments[i].target = Target::Hotspot(HotspotId(j));
+                    }
+                }
+            }
+            Mutation::OverservedHotspot => {
+                let loads = served_loads(n, d);
+                if let Some(j) = (0..n).map(|k| (h + k) % n).find(|&j| loads[j] > 0) {
+                    service[j] = loads[j] - 1;
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The row `evaluate` returns exactly the reference's `Result` —
+        /// the same metrics, with the distance sum equal to the bit, or
+        /// the same error variant and fields — for valid decisions and
+        /// for any mix of the mutations above.
+        #[test]
+        fn prop_evaluate_matches_the_tree_reference(
+            hotspots in 2usize..16,
+            requests in 0usize..1_200,
+            videos in 1u32..120,
+            trace_seed in 0u64..1_000,
+            place_seed in any::<u64>(),
+            mutations in prop::collection::vec((0usize..8, any::<u64>()), 0..4),
+        ) {
+            let trace = TraceConfig::small_test()
+                .with_hotspot_count(hotspots)
+                .with_request_count(requests)
+                .with_video_count(videos as usize)
+                .with_seed(trace_seed)
+                .with_slot_count(1)
+                .generate();
+            let geometry = HotspotGeometry::new(trace.region, &trace.hotspots);
+            let demand = SlotDemand::aggregate(trace.slot_requests(0), &geometry);
+            let mut service: Vec<u64> =
+                trace.hotspots.iter().map(|h| u64::from(h.service_capacity)).collect();
+            let mut cache: Vec<u64> =
+                trace.hotspots.iter().map(|h| u64::from(h.cache_capacity)).collect();
+            // A valid decision: failover routing against random
+            // placements within each cache.
+            let placements: Vec<Vec<VideoId>> = (0..hotspots)
+                .map(|h| {
+                    let want = (mix(place_seed, h as u64) % (cache[h] + 1)) as usize;
+                    let mut row: Vec<VideoId> = (0..want)
+                        .map(|k| VideoId((mix(place_seed, (h * 1_000 + k) as u64) % u64::from(videos)) as u32))
+                        .collect();
+                    row.sort_unstable();
+                    row.dedup();
+                    // Planner order is not sorted order.
+                    let shift = want / 2 % row.len().max(1);
+                    row.rotate_left(shift);
+                    row
+                })
+                .collect();
+            let alive = vec![true; hotspots];
+            let (mut decision, _) = route_with_failover(
+                &geometry,
+                &demand,
+                &service,
+                placements,
+                &alive,
+                1.5,
+                RouteOptions::default(),
+            );
+            let valid = SlotInput {
+                geometry: &geometry,
+                demand: &demand,
+                service_capacity: &service,
+                cache_capacity: &cache,
+                video_count: trace.video_count,
+            };
+            prop_assert!(reference_evaluate(&valid, &decision).is_ok());
+            for &(kind, seed) in &mutations {
+                mutate(MUTATIONS[kind], seed, &mut decision, &demand, &mut service, &mut cache, videos);
+            }
+            let input = SlotInput {
+                geometry: &geometry,
+                demand: &demand,
+                service_capacity: &service,
+                cache_capacity: &cache,
+                video_count: trace.video_count,
+            };
+            let got = SlotMetrics::evaluate(&input, &decision);
+            let want = reference_evaluate(&input, &decision);
+            prop_assert_eq!(&got, &want, "mutations {:?}", mutations);
+            if let (Ok(g), Ok(w)) = (&got, &want) {
+                prop_assert_eq!(g.distance_sum_km.to_bits(), w.distance_sum_km.to_bits());
+            }
+        }
     }
 }

@@ -73,10 +73,11 @@
 //!
 //! Runnable examples live on [`OnlineRunner`].
 
+use crate::rows::{merge_join, FlatRows, Joined};
 use crate::{
     failure::check_radius, FailureModel, HotspotGeometry, MetricsTotals, PopularityPredictor,
     Scheme, SimConfigError, SlotDecision, SlotDemand, SlotInput, SlotMetrics, Target,
-    ValidationError,
+    ValidationError, VideoDemand,
 };
 use ccdn_chaos::{Backoff, Injector};
 use ccdn_obs::{Counter, Histogram};
@@ -680,21 +681,21 @@ impl<'a> OnlineRunner<'a> {
         // slot: fan out. No injector queries happen here — every fault
         // decision was already materialized sequentially.
         let _route_span = ccdn_obs::span("sim.online.route");
+        // Geometry and radius are fixed for the run: every slot shares
+        // one set of neighbour rows.
+        let neighbours = radius_neighbour_rows(&self.geometry, self.radius_km);
         let routed = ccdn_par::par_map_indexed(self.threads, 0, &planned, |i, p| {
             let actual = &actuals[i];
             // Route the real slot against the fixed placement under the
             // *serving* mask: offline or crashed hotspots serve nothing.
-            let (decision, failover) = route_with_failover(
-                &self.geometry,
+            let (decision, failover) = route_rows(
+                &neighbours,
                 actual,
                 &p.serve_service,
-                p.placements.clone(),
+                &p.placements,
+                &p.effective,
                 &p.serve_alive,
-                self.radius_km,
-                RouteOptions {
-                    effective_placements: Some(p.effective.clone()),
-                    chain_budget: chaos.chain_budget,
-                },
+                chaos.chain_budget,
             );
             let input = SlotInput {
                 geometry: &self.geometry,
@@ -1024,22 +1025,22 @@ fn demand_delta_ratio(
     previous: Option<&SlotDemand>,
     hid: ccdn_trace::HotspotId,
 ) -> f64 {
-    let mut prev: BTreeMap<VideoId, i64> = match previous {
-        Some(p) => p.videos(hid).iter().map(|vd| (vd.video, vd.count as i64)).collect(),
-        None => BTreeMap::new(),
-    };
-    let mut diff = 0i64;
-    let mut volume = 0i64;
-    for vd in current.videos(hid) {
-        let before = prev.remove(&vd.video).unwrap_or(0);
-        diff += (vd.count as i64 - before).abs();
-        volume += vd.count as i64;
-    }
-    for before in prev.values() {
-        diff += before.abs();
-    }
+    let now = current.videos(hid);
+    let before = previous.map_or(&[][..], |p| p.videos(hid));
+    let volume: u64 = now.iter().map(|vd| vd.count).sum();
     let denominator = if volume > 0 { volume as f64 } else { 1.0 };
-    diff as f64 / denominator
+    demand_row_distance(now, before) as f64 / denominator
+}
+
+/// L1 distance between two demand rows sorted by video id: the summed
+/// count differences over the union of their videos.
+fn demand_row_distance(a: &[VideoDemand], b: &[VideoDemand]) -> u64 {
+    merge_join(a, |d| d.video, b, |d| d.video)
+        .map(|joined| match joined {
+            Joined::Left(d) | Joined::Right(d) => d.count,
+            Joined::Both(x, y) => x.count.abs_diff(y.count),
+        })
+        .sum()
 }
 
 /// Applies a liveness mask to per-hotspot capacities.
@@ -1081,51 +1082,88 @@ pub fn route_with_failover(
     radius_km: f64,
     options: RouteOptions,
 ) -> (SlotDecision, FailoverStats) {
-    let n = planned_placements.len();
-    let planned_cached: Vec<BTreeSet<VideoId>> =
-        planned_placements.iter().map(|p| p.iter().copied().collect()).collect();
+    let neighbours = radius_neighbour_rows(geometry, radius_km);
+    let effective = options.effective_placements.as_deref().unwrap_or(&planned_placements);
+    route_rows(
+        &neighbours,
+        actual,
+        service,
+        &planned_placements,
+        effective,
+        alive,
+        options.chain_budget,
+    )
+}
 
-    // Effective placements: what is actually servable — the planned
-    // placements unless the caller supplies chaos-adjusted truth — with
-    // offline hotspots emptied either way (their cache is unreachable).
-    let mut placements = match options.effective_placements {
-        Some(effective) => effective,
-        None => planned_placements,
-    };
-    for (h, &a) in alive.iter().enumerate() {
+/// Radius neighbours of every hotspot, one row each: the hotspots within
+/// `radius_km` of it, itself excluded, nearest first (equal distances in
+/// index order) — the order the failover chain tries them in.
+fn radius_neighbour_rows(geometry: &HotspotGeometry, radius_km: f64) -> FlatRows<usize> {
+    let n = geometry.len();
+    let mut rows = FlatRows::with_capacity(n, 0);
+    let mut by_distance: Vec<(f64, usize)> = Vec::new();
+    for h in 0..n {
+        let hid = ccdn_trace::HotspotId(h);
+        by_distance.clear();
+        by_distance.extend(
+            geometry
+                .within_radius(hid, radius_km)
+                .into_iter()
+                .map(|j| (geometry.distance(hid, j), j.0)),
+        );
+        by_distance.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        rows.push_row(by_distance.iter().map(|&(_, j)| j));
+    }
+    rows
+}
+
+/// [`route_with_failover`] on borrowed placements, with the radius
+/// neighbours already laid out as rows (see [`radius_neighbour_rows`]).
+/// `effective_placements` is what each hotspot can actually serve; pass
+/// the planned placements when the two agree.
+fn route_rows(
+    neighbours: &FlatRows<usize>,
+    actual: &SlotDemand,
+    service: &[u64],
+    planned_placements: &[Vec<VideoId>],
+    effective_placements: &[Vec<VideoId>],
+    alive: &[bool],
+    chain_budget: Option<u64>,
+) -> (SlotDecision, FailoverStats) {
+    let n = planned_placements.len();
+    let planned_cached = FlatRows::sorted_videos(planned_placements);
+
+    // Effective placements, with offline hotspots emptied (their cache is
+    // unreachable).
+    let mut placements = effective_placements.to_vec();
+    for (placement, &a) in placements.iter_mut().zip(alive) {
         if !a {
-            placements[h].clear();
+            placement.clear();
         }
     }
-    let cached: Vec<BTreeSet<VideoId>> =
-        placements.iter().map(|p| p.iter().copied().collect()).collect();
+    let cached = FlatRows::sorted_videos(&placements);
 
-    let budget = options.chain_budget.unwrap_or(u64::MAX);
-    let mut decision = SlotDecision::new(n);
-    decision.placements = placements;
+    let budget = chain_budget.unwrap_or(u64::MAX);
+    let mut decision = SlotDecision { assignments: Vec::new(), placements };
     let mut capacity_left = masked(service, alive);
     let mut stats = FailoverStats::default();
+    let mut vids: Vec<VideoDemand> = Vec::new();
 
     for h in 0..n {
         let hid = ccdn_trace::HotspotId(h);
-        // Neighbour order by distance, computed once per source hotspot.
-        let mut neighbours: Vec<(f64, usize)> = geometry
-            .within_radius(hid, radius_km)
-            .into_iter()
-            .map(|j| (geometry.distance(hid, j), j.0))
-            .collect();
-        neighbours.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let near = neighbours.row_at(h);
 
         // Most-demanded first so capacity goes to the biggest wins.
-        let mut vids: Vec<_> = actual.videos(hid).to_vec();
-        vids.sort_by(|a, b| b.count.cmp(&a.count).then(a.video.cmp(&b.video)));
-        for vd in vids {
+        vids.clear();
+        vids.extend_from_slice(actual.videos(hid));
+        vids.sort_unstable_by(|a, b| b.count.cmp(&a.count).then(a.video.cmp(&b.video)));
+        for vd in &vids {
             // The planned server: first chain candidate caching the
             // video as the scheme intended, liveness unknown to it.
-            let planned = if planned_cached[h].contains(&vd.video) {
+            let planned = if planned_cached.row_holds(h, vd.video) {
                 Some(h)
             } else {
-                neighbours.iter().map(|&(_, j)| j).find(|&j| planned_cached[j].contains(&vd.video))
+                near.iter().copied().find(|&j| planned_cached.row_holds(j, vd.video))
             };
             let disrupted = planned.is_some_and(|j| !alive[j]);
 
@@ -1136,7 +1174,7 @@ pub fn route_with_failover(
             // Local first (consulting it consumes budget too).
             if budget == 0 {
                 deadline_hit = remaining > 0;
-            } else if cached[h].contains(&vd.video) && capacity_left[h] > 0 {
+            } else if cached.row_holds(h, vd.video) && capacity_left[h] > 0 {
                 let m = remaining.min(capacity_left[h]);
                 decision.assign(hid, vd.video, Target::Hotspot(hid), m);
                 capacity_left[h] -= m;
@@ -1146,7 +1184,7 @@ pub fn route_with_failover(
             }
             // Then neighbours in distance order, while the deadline
             // budget lasts.
-            for &(_, j) in &neighbours {
+            for &j in near {
                 if remaining == 0 {
                     break;
                 }
@@ -1154,7 +1192,7 @@ pub fn route_with_failover(
                     deadline_hit = true;
                     break;
                 }
-                if cached[j].contains(&vd.video) && capacity_left[j] > 0 {
+                if cached.row_holds(j, vd.video) && capacity_left[j] > 0 {
                     let m = remaining.min(capacity_left[j]);
                     decision.assign(hid, vd.video, Target::Hotspot(ccdn_trace::HotspotId(j)), m);
                     capacity_left[j] -= m;
@@ -1185,20 +1223,16 @@ pub fn route_with_failover(
 /// Total absolute per-(hotspot, video) forecast error, normalized by
 /// realized volume.
 fn forecast_error(forecast: &SlotDemand, actual: &SlotDemand) -> f64 {
-    let mut err = 0.0f64;
-    for h in 0..actual.hotspot_count() {
-        let hid = ccdn_trace::HotspotId(h);
-        let mut f: std::collections::BTreeMap<VideoId, i64> =
-            forecast.videos(hid).iter().map(|vd| (vd.video, vd.count as i64)).collect();
-        for vd in actual.videos(hid) {
-            let predicted = f.remove(&vd.video).unwrap_or(0);
-            err += (predicted - vd.count as i64).abs() as f64;
-        }
-        // Hallucinated demand (predicted but not realized).
-        err += f.values().map(|&v| v.abs() as f64).sum::<f64>();
-    }
+    // Misses and hallucinations alike: every term is a whole number, so
+    // the integer sum converts to the same f64 as a float running sum.
+    let err: u64 = (0..actual.hotspot_count())
+        .map(|h| {
+            let hid = ccdn_trace::HotspotId(h);
+            demand_row_distance(forecast.videos(hid), actual.videos(hid))
+        })
+        .sum();
     let volume = actual.total_requests().max(1) as f64;
-    err / volume
+    err as f64 / volume
 }
 
 #[cfg(test)]
@@ -1206,6 +1240,8 @@ mod tests {
     use super::*;
     use crate::{Ewma, LastSlot};
     use ccdn_trace::TraceConfig;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::{Arc, Mutex};
 
     /// Places each hotspot's top predicted videos; assignments are
@@ -1740,5 +1776,288 @@ mod tests {
             ChaosOptions::new(quiet).with_patch_threshold(-0.5).unwrap_err(),
             SimConfigError::ThresholdOutOfRange { name: "patch_threshold", value: -0.5 }
         );
+    }
+
+    // Reference routing, forecast error and demand shift over `BTreeSet`
+    // placements and `BTreeMap` joins (the routing without its
+    // chain-depth probe); the differential tests below pin the row
+    // versions to them.
+
+    fn reference_route(
+        geometry: &HotspotGeometry,
+        actual: &SlotDemand,
+        service: &[u64],
+        planned_placements: Vec<Vec<VideoId>>,
+        alive: &[bool],
+        radius_km: f64,
+        options: RouteOptions,
+    ) -> (SlotDecision, FailoverStats) {
+        let n = planned_placements.len();
+        let planned_cached: Vec<BTreeSet<VideoId>> =
+            planned_placements.iter().map(|p| p.iter().copied().collect()).collect();
+        let mut placements = match options.effective_placements {
+            Some(effective) => effective,
+            None => planned_placements,
+        };
+        for (h, &a) in alive.iter().enumerate() {
+            if !a {
+                placements[h].clear();
+            }
+        }
+        let cached: Vec<BTreeSet<VideoId>> =
+            placements.iter().map(|p| p.iter().copied().collect()).collect();
+        let budget = options.chain_budget.unwrap_or(u64::MAX);
+        let mut decision = SlotDecision::new(n);
+        decision.placements = placements;
+        let mut capacity_left = masked(service, alive);
+        let mut stats = FailoverStats::default();
+        for h in 0..n {
+            let hid = ccdn_trace::HotspotId(h);
+            let mut neighbours: Vec<(f64, usize)> = geometry
+                .within_radius(hid, radius_km)
+                .into_iter()
+                .map(|j| (geometry.distance(hid, j), j.0))
+                .collect();
+            neighbours.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let mut vids: Vec<_> = actual.videos(hid).to_vec();
+            vids.sort_by(|a, b| b.count.cmp(&a.count).then(a.video.cmp(&b.video)));
+            for vd in vids {
+                let planned = if planned_cached[h].contains(&vd.video) {
+                    Some(h)
+                } else {
+                    neighbours
+                        .iter()
+                        .map(|&(_, j)| j)
+                        .find(|&j| planned_cached[j].contains(&vd.video))
+                };
+                let disrupted = planned.is_some_and(|j| !alive[j]);
+                let mut remaining = vd.count;
+                let mut hotspot_served = 0u64;
+                let mut servers_used = 0u64;
+                let mut deadline_hit = false;
+                if budget == 0 {
+                    deadline_hit = remaining > 0;
+                } else if cached[h].contains(&vd.video) && capacity_left[h] > 0 {
+                    let m = remaining.min(capacity_left[h]);
+                    decision.assign(hid, vd.video, Target::Hotspot(hid), m);
+                    capacity_left[h] -= m;
+                    remaining -= m;
+                    hotspot_served += m;
+                    servers_used += 1;
+                }
+                for &(_, j) in &neighbours {
+                    if remaining == 0 {
+                        break;
+                    }
+                    if servers_used >= budget {
+                        deadline_hit = true;
+                        break;
+                    }
+                    if cached[j].contains(&vd.video) && capacity_left[j] > 0 {
+                        let m = remaining.min(capacity_left[j]);
+                        decision.assign(
+                            hid,
+                            vd.video,
+                            Target::Hotspot(ccdn_trace::HotspotId(j)),
+                            m,
+                        );
+                        capacity_left[j] -= m;
+                        remaining -= m;
+                        hotspot_served += m;
+                        servers_used += 1;
+                    }
+                }
+                if remaining > 0 {
+                    decision.assign(hid, vd.video, Target::Cdn, remaining);
+                    if deadline_hit {
+                        stats.origin_spilled += remaining;
+                    }
+                }
+                if disrupted {
+                    stats.disrupted += vd.count;
+                    stats.failed_over += hotspot_served;
+                    stats.orphaned += remaining;
+                }
+            }
+        }
+        (decision, stats)
+    }
+
+    fn reference_forecast_error(forecast: &SlotDemand, actual: &SlotDemand) -> f64 {
+        let mut err = 0.0f64;
+        for h in 0..actual.hotspot_count() {
+            let hid = ccdn_trace::HotspotId(h);
+            let mut f: BTreeMap<VideoId, i64> =
+                forecast.videos(hid).iter().map(|vd| (vd.video, vd.count as i64)).collect();
+            for vd in actual.videos(hid) {
+                let predicted = f.remove(&vd.video).unwrap_or(0);
+                err += (predicted - vd.count as i64).abs() as f64;
+            }
+            err += f.values().map(|&v| v.abs() as f64).sum::<f64>();
+        }
+        let volume = actual.total_requests().max(1) as f64;
+        err / volume
+    }
+
+    fn reference_demand_delta_ratio(
+        current: &SlotDemand,
+        previous: Option<&SlotDemand>,
+        hid: ccdn_trace::HotspotId,
+    ) -> f64 {
+        let mut prev: BTreeMap<VideoId, i64> = match previous {
+            Some(p) => p.videos(hid).iter().map(|vd| (vd.video, vd.count as i64)).collect(),
+            None => BTreeMap::new(),
+        };
+        let mut diff = 0i64;
+        let mut volume = 0i64;
+        for vd in current.videos(hid) {
+            let before = prev.remove(&vd.video).unwrap_or(0);
+            diff += (vd.count as i64 - before).abs();
+            volume += vd.count as i64;
+        }
+        for before in prev.values() {
+            diff += before.abs();
+        }
+        let denominator = if volume > 0 { volume as f64 } else { 1.0 };
+        diff as f64 / denominator
+    }
+
+    /// SplitMix-style mixing, so a scenario's picks follow from its seeds.
+    fn mix(a: u64, b: u64) -> u64 {
+        let mut x = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        x ^= x >> 30;
+        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x ^ (x >> 31)
+    }
+
+    /// Demand over `hotspots` hotspots from `(video, count)` draws per
+    /// hotspot; repeated videos keep their last count.
+    fn demand_from(draws: &[Vec<(u32, u64)>], hotspots: usize) -> SlotDemand {
+        let per_video = (0..hotspots)
+            .map(|h| {
+                let row: BTreeMap<u32, u64> = draws.get(h).into_iter().flatten().copied().collect();
+                row.into_iter().map(|(v, count)| VideoDemand { video: VideoId(v), count }).collect()
+            })
+            .collect();
+        SlotDemand::from_parts(per_video, vec![0.5; hotspots])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The row routing returns the reference's decision and tallies on
+        /// the failover property tests' scenario (a small trace slot,
+        /// random planned placements and a random liveness mask), here with
+        /// the placements in planner rather than sorted order, a random
+        /// effective subset of each placement, a chain budget and a radius.
+        #[test]
+        fn prop_row_routing_matches_the_tree_reference(
+            hotspots in 2usize..25,
+            requests in 0usize..1_500,
+            videos in 1usize..200,
+            seed in 0u64..500,
+            place_seed in 0u64..500,
+            p_off in 0.0f64..=1.0,
+            keep_share in 0.0f64..=1.0,
+            with_effective in any::<bool>(),
+            budget in prop::sample::select(vec![None, Some(0u64), Some(1), Some(2), Some(3)]),
+            radius_km in prop::sample::select(vec![0.0, 1.5, 4.0]),
+        ) {
+            let trace = TraceConfig::small_test()
+                .with_hotspot_count(hotspots)
+                .with_request_count(requests)
+                .with_video_count(videos)
+                .with_seed(seed)
+                .with_slot_count(1)
+                .generate();
+            let n = trace.hotspots.len();
+            let placements: Vec<Vec<VideoId>> = (0..n)
+                .map(|h| {
+                    let cap = trace.hotspots[h].cache_capacity as usize;
+                    let want = mix(place_seed, h as u64) as usize % (cap + 1);
+                    let mut vids: Vec<VideoId> = (0..want)
+                        .map(|k| {
+                            VideoId((mix(place_seed, (h * 1_000 + k) as u64) % videos as u64) as u32)
+                        })
+                        .collect();
+                    vids.sort_unstable();
+                    vids.dedup();
+                    let shift = want / 2 % vids.len().max(1);
+                    vids.rotate_left(shift);
+                    vids
+                })
+                .collect();
+            let alive: Vec<bool> = (0..n)
+                .map(|h| (mix(place_seed ^ 0xABCD, h as u64) as f64 / u64::MAX as f64) >= p_off)
+                .collect();
+            let effective: Vec<Vec<VideoId>> = placements
+                .iter()
+                .enumerate()
+                .map(|(h, p)| {
+                    p.iter()
+                        .copied()
+                        .filter(|v| {
+                            let draw = mix(place_seed ^ 0x5EED, (h as u64) << 32 | u64::from(v.0));
+                            (draw as f64 / u64::MAX as f64) < keep_share
+                        })
+                        .collect()
+                })
+                .collect();
+            let geometry = HotspotGeometry::new(trace.region, &trace.hotspots);
+            let demand = SlotDemand::aggregate(trace.slot_requests(0), &geometry);
+            let service: Vec<u64> =
+                trace.hotspots.iter().map(|h| u64::from(h.service_capacity)).collect();
+            let options = RouteOptions {
+                effective_placements: with_effective.then_some(effective),
+                chain_budget: budget,
+            };
+            let got = route_with_failover(
+                &geometry,
+                &demand,
+                &service,
+                placements.clone(),
+                &alive,
+                radius_km,
+                options.clone(),
+            );
+            let want =
+                reference_route(&geometry, &demand, &service, placements, &alive, radius_km, options);
+            prop_assert_eq!(got, want);
+        }
+
+        /// Forecast error and demand shift agree with the keyed-map
+        /// versions to the bit, on random demand pairs with empty rows and
+        /// overlapping or disjoint video sets.
+        #[test]
+        fn prop_row_joins_match_the_tree_reference(
+            hotspots in 1usize..6,
+            a in prop::collection::vec(prop::collection::vec((0u32..30, 1u64..1_000), 0..12), 0..6),
+            b in prop::collection::vec(prop::collection::vec((0u32..30, 1u64..1_000), 0..12), 0..6),
+            disjoint in any::<bool>(),
+        ) {
+            // Disjoint draws move the second demand's videos past the first's.
+            let shift = if disjoint { 30 } else { 0 };
+            let b: Vec<Vec<(u32, u64)>> = b
+                .into_iter()
+                .map(|row| row.into_iter().map(|(v, c)| (v + shift, c)).collect())
+                .collect();
+            let first = demand_from(&a, hotspots);
+            let second = demand_from(&b, hotspots);
+            for (x, y) in [(&first, &second), (&second, &first), (&first, &first)] {
+                prop_assert_eq!(
+                    forecast_error(x, y).to_bits(),
+                    reference_forecast_error(x, y).to_bits()
+                );
+                for h in 0..hotspots {
+                    let hid = ccdn_trace::HotspotId(h);
+                    for previous in [Some(y), None] {
+                        prop_assert_eq!(
+                            demand_delta_ratio(x, previous, hid).to_bits(),
+                            reference_demand_delta_ratio(x, previous, hid).to_bits()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -14,9 +14,9 @@
 //! ARIMA, appropriate for slowly drifting popularity), and
 //! [`WindowMean`] (mean of the last `k` slots).
 
+use crate::rows::{merge_join, Joined};
 use crate::{SlotDemand, VideoDemand};
 use ccdn_trace::{HotspotId, VideoId};
-use std::collections::BTreeMap;
 
 /// Forecasts the next slot's per-hotspot per-video demand from the
 /// history of observed demand.
@@ -32,18 +32,22 @@ pub trait PopularityPredictor {
     fn predict(&self) -> Option<SlotDemand>;
 }
 
-fn demand_to_rates(demand: &SlotDemand) -> Vec<BTreeMap<VideoId, f64>> {
+/// One hotspot's forecast rates, sorted by video id: the form every
+/// predictor's state takes and [`rates_to_demand`] rounds into demand.
+type RateRow = Vec<(VideoId, f64)>;
+
+fn demand_to_rates(demand: &SlotDemand) -> Vec<RateRow> {
     (0..demand.hotspot_count())
         .map(|h| demand.videos(HotspotId(h)).iter().map(|vd| (vd.video, vd.count as f64)).collect())
         .collect()
 }
 
-fn rates_to_demand(rates: &[BTreeMap<VideoId, f64>], base: &[f64]) -> SlotDemand {
+fn rates_to_demand(rates: &[RateRow], base: &[f64]) -> SlotDemand {
     let per_video: Vec<Vec<VideoDemand>> = rates
         .iter()
-        .map(|m| {
-            m.iter()
-                .filter_map(|(&video, &rate)| {
+        .map(|row| {
+            row.iter()
+                .filter_map(|&(video, rate)| {
                     let count = rate.round() as i64;
                     (count > 0).then_some(VideoDemand { video, count: count as u64 })
                 })
@@ -104,7 +108,7 @@ impl PopularityPredictor for LastSlot {
 #[derive(Debug, Clone)]
 pub struct Ewma {
     alpha: f64,
-    rates: Option<Vec<BTreeMap<VideoId, f64>>>,
+    rates: Option<Vec<RateRow>>,
     base: Vec<f64>,
 }
 
@@ -131,24 +135,29 @@ impl PopularityPredictor for Ewma {
     }
 
     fn observe(&mut self, demand: &SlotDemand) {
-        let observed = demand_to_rates(demand);
         self.base =
             (0..demand.hotspot_count()).map(|h| demand.mean_base_distance(HotspotId(h))).collect();
-        match &mut self.rates {
-            None => self.rates = Some(observed),
-            Some(rates) => {
-                for (slot_rates, obs) in rates.iter_mut().zip(&observed) {
-                    // Decay everything, then mix the new observation in.
-                    for rate in slot_rates.values_mut() {
-                        *rate *= 1.0 - self.alpha;
+        let Some(rates) = &mut self.rates else {
+            self.rates = Some(demand_to_rates(demand));
+            return;
+        };
+        let alpha = self.alpha;
+        let mut next = RateRow::new();
+        for (row, h) in rates.iter_mut().zip(0..demand.hotspot_count()) {
+            // Decay every rate, mix the new observation in, and drop
+            // negligible remnants so state stays bounded.
+            let observed = demand.videos(HotspotId(h));
+            let mixed =
+                merge_join(row, |r| r.0, observed, |d| d.video).map(|joined| match joined {
+                    Joined::Left(&(video, rate)) => (video, rate * (1.0 - alpha)),
+                    Joined::Right(d) => (d.video, 0.0 + alpha * d.count as f64),
+                    Joined::Both(&(video, rate), d) => {
+                        (video, rate * (1.0 - alpha) + alpha * d.count as f64)
                     }
-                    for (&video, &count) in obs {
-                        *slot_rates.entry(video).or_insert(0.0) += self.alpha * count;
-                    }
-                    // Drop negligible remnants so state stays bounded.
-                    slot_rates.retain(|_, r| *r >= 0.25);
-                }
-            }
+                });
+            next.clear();
+            next.extend(mixed.filter(|&(_, rate)| rate >= 0.25));
+            std::mem::swap(row, &mut next);
         }
     }
 
@@ -161,7 +170,7 @@ impl PopularityPredictor for Ewma {
 #[derive(Debug, Clone)]
 pub struct WindowMean {
     window: usize,
-    history: std::collections::VecDeque<Vec<BTreeMap<VideoId, f64>>>,
+    history: std::collections::VecDeque<Vec<RateRow>>,
     base: Vec<f64>,
 }
 
@@ -196,17 +205,23 @@ impl PopularityPredictor for WindowMean {
             return None;
         }
         let n = self.history[0].len();
-        let mut mean: Vec<BTreeMap<VideoId, f64>> = vec![BTreeMap::new(); n];
+        let mut mean: Vec<RateRow> = vec![RateRow::new(); n];
+        let mut next = RateRow::new();
+        // Sum each video's counts over the window, oldest slot first.
         for slot in &self.history {
             for (acc, obs) in mean.iter_mut().zip(slot) {
-                for (&video, &count) in obs {
-                    *acc.entry(video).or_insert(0.0) += count;
-                }
+                next.clear();
+                next.extend(merge_join(acc, |r| r.0, obs, |r| r.0).map(|joined| match joined {
+                    Joined::Left(&sum) => sum,
+                    Joined::Right(&(video, count)) => (video, 0.0 + count),
+                    Joined::Both(&(video, sum), &(_, count)) => (video, sum + count),
+                }));
+                std::mem::swap(acc, &mut next);
             }
         }
         let k = self.history.len() as f64;
         for acc in &mut mean {
-            for rate in acc.values_mut() {
+            for (_, rate) in acc.iter_mut() {
                 *rate /= k;
             }
         }
@@ -266,6 +281,9 @@ impl PopularityPredictor for SeasonalNaive {
     }
 }
 
+/// One hotspot's Holt state, `(video, (level, trend))` sorted by video id.
+type TrendRow = Vec<(VideoId, (f64, f64))>;
+
 /// Holt's double exponential smoothing per `(hotspot, video)` pair:
 /// a level plus a linear trend, so ramping videos (new releases) are
 /// anticipated rather than chased.
@@ -277,7 +295,7 @@ impl PopularityPredictor for SeasonalNaive {
 pub struct HoltLinear {
     alpha: f64,
     beta: f64,
-    state: Option<Vec<BTreeMap<VideoId, (f64, f64)>>>,
+    state: Option<Vec<TrendRow>>,
     base: Vec<f64>,
 }
 
@@ -300,47 +318,45 @@ impl PopularityPredictor for HoltLinear {
     }
 
     fn observe(&mut self, demand: &SlotDemand) {
-        let observed = demand_to_rates(demand);
         self.base =
             (0..demand.hotspot_count()).map(|h| demand.mean_base_distance(HotspotId(h))).collect();
-        match &mut self.state {
-            None => {
-                self.state = Some(
-                    observed
-                        .into_iter()
-                        .map(|m| m.into_iter().map(|(v, c)| (v, (c, 0.0))).collect())
-                        .collect(),
-                );
-            }
-            Some(state) => {
-                for (pairs, obs) in state.iter_mut().zip(&observed) {
-                    // Update / decay existing pairs.
-                    pairs.retain(|video, (level, trend)| {
-                        let observation = obs.get(video).copied().unwrap_or(0.0);
-                        let prev_level = *level;
-                        *level =
-                            self.alpha * observation + (1.0 - self.alpha) * (prev_level + *trend);
-                        *trend = self.beta * (*level - prev_level) + (1.0 - self.beta) * *trend;
-                        *level > 0.25 || observation > 0.0
-                    });
-                    // Admit newly seen videos.
-                    for (&video, &count) in obs {
-                        pairs.entry(video).or_insert((count, 0.0));
-                    }
-                }
-            }
+        let Some(state) = &mut self.state else {
+            self.state = Some(
+                demand_to_rates(demand)
+                    .into_iter()
+                    .map(|row| row.into_iter().map(|(v, c)| (v, (c, 0.0))).collect())
+                    .collect(),
+            );
+            return;
+        };
+        let (alpha, beta) = (self.alpha, self.beta);
+        let mut next = TrendRow::new();
+        for (pairs, h) in state.iter_mut().zip(0..demand.hotspot_count()) {
+            // Update or decay the tracked pairs; admit newly seen videos.
+            let observed = demand.videos(HotspotId(h));
+            let updated = merge_join(pairs, |p| p.0, observed, |d| d.video).filter_map(|joined| {
+                let (video, (prev_level, trend), observation) = match joined {
+                    Joined::Right(d) => return Some((d.video, (d.count as f64, 0.0))),
+                    Joined::Left(&(video, pair)) => (video, pair, 0.0),
+                    Joined::Both(&(video, pair), d) => (video, pair, d.count as f64),
+                };
+                let level = alpha * observation + (1.0 - alpha) * (prev_level + trend);
+                let trend = beta * (level - prev_level) + (1.0 - beta) * trend;
+                // An observed pair always stays: its count is at least one.
+                (level > 0.25 || observation > 0.0).then_some((video, (level, trend)))
+            });
+            next.clear();
+            next.extend(updated);
+            std::mem::swap(pairs, &mut next);
         }
     }
 
     fn predict(&self) -> Option<SlotDemand> {
         self.state.as_ref().map(|state| {
-            let rates: Vec<BTreeMap<VideoId, f64>> = state
+            let rates: Vec<RateRow> = state
                 .iter()
                 .map(|pairs| {
-                    pairs
-                        .iter()
-                        .map(|(&v, &(level, trend))| (v, (level + trend).max(0.0)))
-                        .collect()
+                    pairs.iter().map(|&(v, (level, trend))| (v, (level + trend).max(0.0))).collect()
                 })
                 .collect();
             rates_to_demand(&rates, &self.base)
@@ -353,6 +369,8 @@ mod tests {
     use super::*;
     use crate::HotspotGeometry;
     use ccdn_trace::TraceConfig;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn demands() -> Vec<SlotDemand> {
         let trace = TraceConfig::small_test().with_request_count(4_000).generate();
@@ -560,5 +578,238 @@ mod tests {
     #[should_panic(expected = "window")]
     fn zero_window_panics() {
         let _ = WindowMean::new(0);
+    }
+
+    // Reference predictors with their state in one `BTreeMap` per
+    // hotspot; the differential test below pins the row versions to them
+    // after every observation.
+
+    fn reference_demand_to_rates(demand: &SlotDemand) -> Vec<BTreeMap<VideoId, f64>> {
+        (0..demand.hotspot_count())
+            .map(|h| {
+                demand.videos(HotspotId(h)).iter().map(|vd| (vd.video, vd.count as f64)).collect()
+            })
+            .collect()
+    }
+
+    fn reference_rates_to_demand(rates: &[BTreeMap<VideoId, f64>], base: &[f64]) -> SlotDemand {
+        let per_video: Vec<Vec<VideoDemand>> = rates
+            .iter()
+            .map(|m| {
+                m.iter()
+                    .filter_map(|(&video, &rate)| {
+                        let count = rate.round() as i64;
+                        (count > 0).then_some(VideoDemand { video, count: count as u64 })
+                    })
+                    .collect()
+            })
+            .collect();
+        SlotDemand::from_parts(per_video, base.to_vec())
+    }
+
+    fn reference_base(demand: &SlotDemand) -> Vec<f64> {
+        (0..demand.hotspot_count()).map(|h| demand.mean_base_distance(HotspotId(h))).collect()
+    }
+
+    struct ReferenceEwma {
+        alpha: f64,
+        rates: Option<Vec<BTreeMap<VideoId, f64>>>,
+        base: Vec<f64>,
+    }
+
+    impl ReferenceEwma {
+        fn observe(&mut self, demand: &SlotDemand) {
+            let observed = reference_demand_to_rates(demand);
+            self.base = reference_base(demand);
+            match &mut self.rates {
+                None => self.rates = Some(observed),
+                Some(rates) => {
+                    for (slot_rates, obs) in rates.iter_mut().zip(&observed) {
+                        for rate in slot_rates.values_mut() {
+                            *rate *= 1.0 - self.alpha;
+                        }
+                        for (&video, &count) in obs {
+                            *slot_rates.entry(video).or_insert(0.0) += self.alpha * count;
+                        }
+                        slot_rates.retain(|_, r| *r >= 0.25);
+                    }
+                }
+            }
+        }
+
+        fn predict(&self) -> Option<SlotDemand> {
+            self.rates.as_ref().map(|r| reference_rates_to_demand(r, &self.base))
+        }
+    }
+
+    struct ReferenceWindowMean {
+        window: usize,
+        history: std::collections::VecDeque<Vec<BTreeMap<VideoId, f64>>>,
+        base: Vec<f64>,
+    }
+
+    impl ReferenceWindowMean {
+        fn observe(&mut self, demand: &SlotDemand) {
+            self.base = reference_base(demand);
+            self.history.push_back(reference_demand_to_rates(demand));
+            while self.history.len() > self.window {
+                self.history.pop_front();
+            }
+        }
+
+        fn predict(&self) -> Option<SlotDemand> {
+            let first = self.history.front()?;
+            let mut mean: Vec<BTreeMap<VideoId, f64>> = vec![BTreeMap::new(); first.len()];
+            for slot in &self.history {
+                for (acc, obs) in mean.iter_mut().zip(slot) {
+                    for (&video, &count) in obs {
+                        *acc.entry(video).or_insert(0.0) += count;
+                    }
+                }
+            }
+            let k = self.history.len() as f64;
+            for acc in &mut mean {
+                for rate in acc.values_mut() {
+                    *rate /= k;
+                }
+            }
+            Some(reference_rates_to_demand(&mean, &self.base))
+        }
+    }
+
+    struct ReferenceHolt {
+        alpha: f64,
+        beta: f64,
+        state: Option<Vec<BTreeMap<VideoId, (f64, f64)>>>,
+        base: Vec<f64>,
+    }
+
+    impl ReferenceHolt {
+        fn observe(&mut self, demand: &SlotDemand) {
+            let observed = reference_demand_to_rates(demand);
+            self.base = reference_base(demand);
+            match &mut self.state {
+                None => {
+                    self.state = Some(
+                        observed
+                            .into_iter()
+                            .map(|m| m.into_iter().map(|(v, c)| (v, (c, 0.0))).collect())
+                            .collect(),
+                    );
+                }
+                Some(state) => {
+                    for (pairs, obs) in state.iter_mut().zip(&observed) {
+                        pairs.retain(|video, (level, trend)| {
+                            let observation = obs.get(video).copied().unwrap_or(0.0);
+                            let prev_level = *level;
+                            *level = self.alpha * observation
+                                + (1.0 - self.alpha) * (prev_level + *trend);
+                            *trend = self.beta * (*level - prev_level) + (1.0 - self.beta) * *trend;
+                            *level > 0.25 || observation > 0.0
+                        });
+                        for (&video, &count) in obs {
+                            pairs.entry(video).or_insert((count, 0.0));
+                        }
+                    }
+                }
+            }
+        }
+
+        fn predict(&self) -> Option<SlotDemand> {
+            self.state.as_ref().map(|state| {
+                let rates: Vec<BTreeMap<VideoId, f64>> = state
+                    .iter()
+                    .map(|pairs| {
+                        pairs
+                            .iter()
+                            .map(|(&v, &(level, trend))| (v, (level + trend).max(0.0)))
+                            .collect()
+                    })
+                    .collect();
+                reference_rates_to_demand(&rates, &self.base)
+            })
+        }
+    }
+
+    /// Rows as `(video, value bits)`, for exact state comparisons.
+    fn row_bits<'a>(rows: impl IntoIterator<Item = (&'a VideoId, f64)>) -> Vec<(u32, u64)> {
+        rows.into_iter().map(|(v, x)| (v.0, x.to_bits())).collect()
+    }
+
+    /// Demand over `hotspots` hotspots from `(video, count)` draws per
+    /// hotspot; a hotspot's draws may repeat a video (the last count wins)
+    /// or be empty.
+    fn demand_from(draws: &[Vec<(u32, u64)>], hotspots: usize, base_seed: u64) -> SlotDemand {
+        let per_video: Vec<Vec<VideoDemand>> = (0..hotspots)
+            .map(|h| {
+                let row: BTreeMap<u32, u64> = draws.get(h).into_iter().flatten().copied().collect();
+                row.into_iter().map(|(v, count)| VideoDemand { video: VideoId(v), count }).collect()
+            })
+            .collect();
+        let base = (0..hotspots).map(|h| ((base_seed >> (h % 32)) % 7) as f64 * 0.37).collect();
+        SlotDemand::from_parts(per_video, base)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// After every observation of a random sequence — sparse and dense
+        /// rows, empty slots, videos that come and go, counts small enough
+        /// to decay below the 0.25 cut-off — each row predictor forecasts
+        /// exactly what its tree reference does, and its state matches the
+        /// reference's to the bit.
+        #[test]
+        fn prop_row_predictors_match_tree_references(
+            hotspots in 1usize..6,
+            slots in prop::collection::vec(
+                prop::collection::vec(prop::collection::vec((0u32..24, 1u64..40), 0..10), 0..6),
+                1..14,
+            ),
+            base_seed in any::<u64>(),
+            alpha in prop::sample::select(vec![0.05, 0.3, 0.5, 0.77, 1.0]),
+            beta in prop::sample::select(vec![0.1, 0.3, 0.8, 1.0]),
+            window in 1usize..5,
+        ) {
+            let mut ewma = Ewma::new(alpha);
+            let mut window_mean = WindowMean::new(window);
+            let mut holt = HoltLinear::new(alpha, beta);
+            let mut ref_ewma = ReferenceEwma { alpha, rates: None, base: Vec::new() };
+            let mut ref_window = ReferenceWindowMean {
+                window,
+                history: std::collections::VecDeque::new(),
+                base: Vec::new(),
+            };
+            let mut ref_holt = ReferenceHolt { alpha, beta, state: None, base: Vec::new() };
+            for (t, draws) in slots.iter().enumerate() {
+                let demand = demand_from(draws, hotspots, base_seed.rotate_left(t as u32));
+                ewma.observe(&demand);
+                window_mean.observe(&demand);
+                holt.observe(&demand);
+                ref_ewma.observe(&demand);
+                ref_window.observe(&demand);
+                ref_holt.observe(&demand);
+
+                prop_assert_eq!(ewma.predict(), ref_ewma.predict(), "ewma after slot {}", t);
+                prop_assert_eq!(window_mean.predict(), ref_window.predict(), "window after slot {}", t);
+                prop_assert_eq!(holt.predict(), ref_holt.predict(), "holt after slot {}", t);
+
+                let rows = ewma.rates.as_ref().unwrap();
+                let maps = ref_ewma.rates.as_ref().unwrap();
+                for (row, map) in rows.iter().zip(maps) {
+                    prop_assert_eq!(
+                        row_bits(row.iter().map(|(v, r)| (v, *r))),
+                        row_bits(map.iter().map(|(v, r)| (v, *r)))
+                    );
+                }
+                let rows = holt.state.as_ref().unwrap();
+                let maps = ref_holt.state.as_ref().unwrap();
+                for (row, map) in rows.iter().zip(maps) {
+                    prop_assert_eq!(
+                        row_bits(row.iter().flat_map(|(v, (l, t))| [(v, *l), (v, *t)])),
+                        row_bits(map.iter().flat_map(|(v, (l, t))| [(v, *l), (v, *t)]))
+                    );
+                }
+            }
+        }
     }
 }

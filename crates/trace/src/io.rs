@@ -101,6 +101,21 @@ fn parse_field<T: std::str::FromStr>(
     })
 }
 
+/// Parses a coordinate field, which must be a finite number of km.
+fn parse_coordinate(
+    field: Option<&str>,
+    name: &str,
+    file: &'static str,
+    line: usize,
+) -> Result<f64, TraceIoError> {
+    let value: f64 = parse_field(field, name, file, line)?;
+    if value.is_finite() {
+        Ok(value)
+    } else {
+        Err(TraceIoError::Parse { file, line, message: format!("`{name}` is {value}, not finite") })
+    }
+}
+
 impl Trace {
     /// Writes the trace as two CSV streams (with headers).
     ///
@@ -137,13 +152,14 @@ impl Trace {
     /// CSV does not carry.
     ///
     /// Requests are re-sorted by timeslot; hotspot ids must be the dense
-    /// range `0..n` (any order in the file).
+    /// range `0..n` (any order in the file), with at least one hotspot.
     ///
     /// # Errors
     ///
-    /// I/O errors, per-line parse errors with file/line context, and
-    /// structural inconsistencies (non-dense hotspot ids, out-of-range
-    /// videos or timeslots).
+    /// I/O errors, per-line parse errors with file/line context (among
+    /// them a NaN or infinite coordinate, and out-of-range videos or
+    /// timeslots), and structural inconsistencies (no hotspots, non-dense
+    /// hotspot ids).
     pub fn read_csv<H, R>(
         region: Rect,
         video_count: usize,
@@ -167,8 +183,8 @@ impl Trace {
             let lineno = idx + 1;
             let mut fields = line.split(',');
             let id: usize = parse_field(fields.next(), "id", HFILE, lineno)?;
-            let x: f64 = parse_field(fields.next(), "x_km", HFILE, lineno)?;
-            let y: f64 = parse_field(fields.next(), "y_km", HFILE, lineno)?;
+            let x = parse_coordinate(fields.next(), "x_km", HFILE, lineno)?;
+            let y = parse_coordinate(fields.next(), "y_km", HFILE, lineno)?;
             let service: u32 = parse_field(fields.next(), "service_capacity", HFILE, lineno)?;
             let cache: u32 = parse_field(fields.next(), "cache_capacity", HFILE, lineno)?;
             parsed_hotspots.push(Hotspot {
@@ -177,6 +193,11 @@ impl Trace {
                 service_capacity: service,
                 cache_capacity: cache,
             });
+        }
+        if parsed_hotspots.is_empty() {
+            return Err(TraceIoError::Inconsistent(format!(
+                "{HFILE} has no hotspot rows; every request needs a hotspot to aggregate to"
+            )));
         }
         parsed_hotspots.sort_by_key(|h| h.id);
         for (expect, h) in parsed_hotspots.iter().enumerate() {
@@ -198,8 +219,8 @@ impl Trace {
             let user: u32 = parse_field(fields.next(), "user", RFILE, lineno)?;
             let video: u32 = parse_field(fields.next(), "video", RFILE, lineno)?;
             let timeslot: u32 = parse_field(fields.next(), "timeslot", RFILE, lineno)?;
-            let x: f64 = parse_field(fields.next(), "x_km", RFILE, lineno)?;
-            let y: f64 = parse_field(fields.next(), "y_km", RFILE, lineno)?;
+            let x = parse_coordinate(fields.next(), "x_km", RFILE, lineno)?;
+            let y = parse_coordinate(fields.next(), "y_km", RFILE, lineno)?;
             if video as usize >= video_count {
                 return Err(TraceIoError::Parse {
                     file: RFILE,
@@ -371,16 +392,78 @@ mod tests {
     }
 
     #[test]
-    fn empty_files_give_empty_trace() {
+    fn empty_request_file_gives_no_requests() {
         let trace = Trace::read_csv(
             ccdn_geo::Rect::paper_eval_region(),
             10,
             24,
-            "id,x,y,s,c\n".as_bytes(),
+            "id,x,y,s,c\n0,1,1,5,5\n".as_bytes(),
             "user,video,timeslot,x,y\n".as_bytes(),
         )
         .unwrap();
-        assert!(trace.hotspots.is_empty());
+        assert_eq!(trace.hotspots.len(), 1);
         assert!(trace.requests.is_empty());
+    }
+
+    #[test]
+    fn header_only_hotspot_file_is_rejected() {
+        let err = Trace::read_csv(
+            ccdn_geo::Rect::paper_eval_region(),
+            10,
+            24,
+            "id,x_km,y_km,service_capacity,cache_capacity\n".as_bytes(),
+            "user,video,timeslot,x_km,y_km\n1,5,0,1,1\n".as_bytes(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, TraceIoError::Inconsistent(_)), "{err}");
+        assert!(format!("{err}").contains("no hotspot rows"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_hotspot_coordinate_is_rejected() {
+        for (field, row) in [("x_km", "1,NaN,2,5,5"), ("y_km", "1,2,inf,5,5")] {
+            let hotspots =
+                format!("id,x_km,y_km,service_capacity,cache_capacity\n0,1,1,5,5\n{row}\n");
+            let err = Trace::read_csv(
+                ccdn_geo::Rect::paper_eval_region(),
+                10,
+                24,
+                hotspots.as_bytes(),
+                "user,video,timeslot,x_km,y_km\n".as_bytes(),
+            )
+            .unwrap_err();
+            match err {
+                TraceIoError::Parse { file, line, message } => {
+                    assert_eq!(file, "hotspots.csv");
+                    assert_eq!(line, 3);
+                    assert!(message.contains(field), "{message}");
+                }
+                other => panic!("unexpected error {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_request_coordinate_is_rejected() {
+        let hotspots = "id,x_km,y_km,service_capacity,cache_capacity\n0,1,1,5,5\n";
+        for (field, row) in [("x_km", "1,5,0,NaN,1"), ("y_km", "1,5,0,1,-inf")] {
+            let requests = format!("user,video,timeslot,x_km,y_km\n1,5,0,1,1\n{row}\n");
+            let err = Trace::read_csv(
+                ccdn_geo::Rect::paper_eval_region(),
+                10,
+                24,
+                hotspots.as_bytes(),
+                requests.as_bytes(),
+            )
+            .unwrap_err();
+            match err {
+                TraceIoError::Parse { file, line, message } => {
+                    assert_eq!(file, "requests.csv");
+                    assert_eq!(line, 3);
+                    assert!(message.contains(field), "{message}");
+                }
+                other => panic!("unexpected error {other}"),
+            }
+        }
     }
 }

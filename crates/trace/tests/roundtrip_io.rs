@@ -50,7 +50,7 @@ fn parallel_generation_roundtrips_byte_identically() {
 }
 
 #[test]
-fn empty_trace_roundtrips() {
+fn empty_trace_writes_headers_and_is_rejected_on_read() {
     let trace = Trace {
         region: Rect::paper_eval_region(),
         hotspots: Vec::new(),
@@ -62,10 +62,10 @@ fn empty_trace_roundtrips() {
     let (h, r) = encode(&trace);
     assert_eq!(h, b"id,x_km,y_km,service_capacity,cache_capacity\n");
     assert_eq!(r, b"user,video,timeslot,x_km,y_km\n");
-    let parsed = decode(&trace, &h, &r);
-    assert!(parsed.hotspots.is_empty());
-    assert!(parsed.requests.is_empty());
-    assert_byte_fixed_point(&trace);
+    // A trace without hotspots has nothing to aggregate requests to.
+    let err = Trace::read_csv(trace.region, trace.video_count, trace.slot_count, &h[..], &r[..])
+        .unwrap_err();
+    assert!(matches!(err, ccdn_trace::TraceIoError::Inconsistent(_)), "{err}");
 }
 
 #[test]

@@ -4,11 +4,12 @@
 //! output: the ordered-join pool may change wall-clock time, never bytes.
 //! These properties drive randomly-configured traces through each
 //! parallelized stage — sharded trace synthesis, the offline `Runner`,
-//! and the failure-aware `OnlineRunner` — at 1, 2, and 8 threads and
-//! require bit-identical results.
+//! and the failure- and chaos-aware `OnlineRunner` — at 1, 2, and 8
+//! threads and require bit-identical results.
 
+use ccdn_chaos::{ChaosConfig, FaultPlan};
 use crowdsourced_cdn::core::{Nearest, Rbcaer, RbcaerConfig};
-use crowdsourced_cdn::sim::{Ewma, FailureModel, OnlineRunner, Runner};
+use crowdsourced_cdn::sim::{ChaosOptions, Ewma, FailureModel, OnlineRunner, Runner};
 use crowdsourced_cdn::trace::{Trace, TraceConfig};
 use proptest::prelude::*;
 
@@ -77,21 +78,33 @@ proptest! {
         }
     }
 
-    /// Online runner (forecasts, failures, failover, cache churn): the
-    /// full report Debug rendering — every field of every slot — is
-    /// identical for every worker count.
+    /// Online runner (forecasts, failures, chaos faults with degraded
+    /// mode, failover under a chain budget, cache churn): the full report
+    /// Debug rendering — every field of every slot — is identical for
+    /// every worker count, so the parallel route fan-out is compared with
+    /// effective placements that differ from the plan.
     #[test]
     fn online_report_matches_across_thread_counts(
         config in config_strategy(),
         p_fail in 0.0f64..0.4,
         fail_seed in 0u64..100,
+        chaos_intensity in 0.0f64..=1.0,
+        chain_budget in prop::sample::select(vec![None, Some(0u64), Some(1), Some(2), Some(3)]),
     ) {
         let trace = config.generate();
         let reports: Vec<String> = THREAD_COUNTS
             .iter()
             .map(|&threads| {
+                let chaos = ChaosConfig::at_intensity(fail_seed, chaos_intensity)
+                    .expect("intensity in [0, 1]");
+                let mut chaos = ChaosOptions::new(FaultPlan::new(chaos).expect("valid chaos plan"))
+                    .with_degraded_mode();
+                if let Some(k) = chain_budget {
+                    chaos = chaos.with_chain_budget(k);
+                }
                 let runner = OnlineRunner::new(&trace)
                     .with_failures(FailureModel::iid(p_fail, fail_seed).expect("valid prob"))
+                    .with_chaos(chaos)
                     .with_threads(threads);
                 let report = runner
                     .run(&mut Nearest::new(), &mut Ewma::new(0.5))
