@@ -39,9 +39,36 @@ pub use grid::GridIndex;
 pub use point::Point;
 pub use rect::Rect;
 
+/// Largest coordinate magnitude, in km, that a trace or a [`GridIndex`]
+/// accepts: `f64::MAX.sqrt() / 4` (≈ 3.35e153).
+///
+/// Two points within it differ by at most `f64::MAX.sqrt() / 2` on each
+/// axis, so a squared distance stays at most `f64::MAX / 2` and every
+/// distance is finite. Outside it, `Point::distance` can overflow to
+/// infinity. The value is a property of `f64`, not a setting.
+pub const MAX_COORDINATE_KM: f64 = 3.351_951_982_485_649e153;
+
 /// Distance, in kilometres, charged when a request is served by the origin
 /// CDN server instead of an edge hotspot.
 ///
 /// The paper pins this to 20 km — the diagonal of the 17 km × 11 km
 /// evaluation rectangle (`sqrt(17² + 11²) ≈ 20.2`, rounded down in §V-A).
 pub const CDN_SERVER_DISTANCE_KM: f64 = 20.0;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn coordinate_bound_keeps_every_distance_finite() {
+        assert_eq!(MAX_COORDINATE_KM, f64::MAX.sqrt() / 4.0);
+        let (lo, hi) = (
+            Point::new(-MAX_COORDINATE_KM, -MAX_COORDINATE_KM),
+            Point::new(MAX_COORDINATE_KM, MAX_COORDINATE_KM),
+        );
+        assert!(lo.distance_squared(hi) <= f64::MAX / 2.0);
+        assert!(lo.distance(hi).is_finite());
+        let beyond = Point::new(2.0 * MAX_COORDINATE_KM, 2.0 * MAX_COORDINATE_KM);
+        assert!(lo.distance(beyond).is_infinite());
+    }
+}

@@ -34,7 +34,7 @@
 //! ```
 
 use crate::{Hotspot, HotspotId, Request, Trace, UserId, VideoId};
-use ccdn_geo::{Point, Rect};
+use ccdn_geo::{Point, Rect, MAX_COORDINATE_KM};
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
 
@@ -101,7 +101,9 @@ fn parse_field<T: std::str::FromStr>(
     })
 }
 
-/// Parses a coordinate field, which must be a finite number of km.
+/// Parses a coordinate field, which must be a finite number of km no
+/// larger in magnitude than [`MAX_COORDINATE_KM`], so that every distance
+/// between two points of the trace is finite.
 fn parse_coordinate(
     field: Option<&str>,
     name: &str,
@@ -109,11 +111,14 @@ fn parse_coordinate(
     line: usize,
 ) -> Result<f64, TraceIoError> {
     let value: f64 = parse_field(field, name, file, line)?;
-    if value.is_finite() {
-        Ok(value)
+    let message = if !value.is_finite() {
+        format!("`{name}` is {value}, not finite")
+    } else if value.abs() > MAX_COORDINATE_KM {
+        format!("`{name}` is {value:e}, beyond ±{MAX_COORDINATE_KM:e} km, where distances overflow")
     } else {
-        Err(TraceIoError::Parse { file, line, message: format!("`{name}` is {value}, not finite") })
-    }
+        return Ok(value);
+    };
+    Err(TraceIoError::Parse { file, line, message })
 }
 
 impl Trace {
@@ -157,7 +162,8 @@ impl Trace {
     /// # Errors
     ///
     /// I/O errors, per-line parse errors with file/line context (among
-    /// them a NaN or infinite coordinate, and out-of-range videos or
+    /// them a NaN or infinite coordinate, one beyond
+    /// [`MAX_COORDINATE_KM`] in magnitude, and out-of-range videos or
     /// timeslots), and structural inconsistencies (no hotspots, non-dense
     /// hotspot ids).
     pub fn read_csv<H, R>(
@@ -441,6 +447,74 @@ mod tests {
                 other => panic!("unexpected error {other}"),
             }
         }
+    }
+
+    #[test]
+    fn huge_hotspot_coordinate_is_rejected() {
+        for (field, row) in [("x_km", "1,1e300,2,5,5"), ("y_km", "1,2,-1e300,5,5")] {
+            let hotspots =
+                format!("id,x_km,y_km,service_capacity,cache_capacity\n0,1,1,5,5\n{row}\n");
+            let err = Trace::read_csv(
+                ccdn_geo::Rect::paper_eval_region(),
+                10,
+                24,
+                hotspots.as_bytes(),
+                "user,video,timeslot,x_km,y_km\n".as_bytes(),
+            )
+            .unwrap_err();
+            match err {
+                TraceIoError::Parse { file, line, message } => {
+                    assert_eq!(file, "hotspots.csv");
+                    assert_eq!(line, 3);
+                    assert!(message.contains(field) && message.contains("beyond"), "{message}");
+                }
+                other => panic!("unexpected error {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn huge_request_coordinate_is_rejected() {
+        let hotspots = "id,x_km,y_km,service_capacity,cache_capacity\n0,1,1,5,5\n";
+        for (field, row) in
+            [("x_km", "1,5,0,1e300,1"), ("y_km", "1,5,0,1,-1e300"), ("x_km", "1,5,0,1e308,1")]
+        {
+            let requests = format!("user,video,timeslot,x_km,y_km\n1,5,0,1,1\n{row}\n");
+            let err = Trace::read_csv(
+                ccdn_geo::Rect::paper_eval_region(),
+                10,
+                24,
+                hotspots.as_bytes(),
+                requests.as_bytes(),
+            )
+            .unwrap_err();
+            match err {
+                TraceIoError::Parse { file, line, message } => {
+                    assert_eq!(file, "requests.csv");
+                    assert_eq!(line, 3);
+                    assert!(message.contains(field) && message.contains("beyond"), "{message}");
+                }
+                other => panic!("unexpected error {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn coordinates_at_the_bound_are_accepted() {
+        let edge = MAX_COORDINATE_KM;
+        let hotspots =
+            format!("id,x_km,y_km,service_capacity,cache_capacity\n0,{edge},-{edge},5,5\n");
+        let requests = format!("user,video,timeslot,x_km,y_km\n1,5,0,-{edge},{edge}\n");
+        let trace = Trace::read_csv(
+            ccdn_geo::Rect::paper_eval_region(),
+            10,
+            24,
+            hotspots.as_bytes(),
+            requests.as_bytes(),
+        )
+        .unwrap();
+        let d = trace.hotspots[0].location.distance(trace.requests[0].location);
+        assert!(d.is_finite(), "{d}");
     }
 
     #[test]
