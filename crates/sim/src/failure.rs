@@ -19,11 +19,11 @@
 //!   sampled and everything within a radius goes down with it.
 //!
 //! A model is a cheap, copyable description; [`FailureModel::process`]
-//! instantiates the mutable per-run state ([`FailureProcess`]) that the
-//! runners advance slot by slot. Cache-wipe semantics (a returning
-//! hotspot has an empty cache and its content must be re-pushed) live in
-//! the online runner, which owns the caches — see
-//! [`CacheState`](crate::CacheState).
+//! instantiates the mutable per-run state ([`FailureProcess`]) that
+//! [`OnlineRunner`](crate::OnlineRunner) advances slot by slot.
+//! Cache-wipe semantics (a returning hotspot has an empty cache and its
+//! content must be re-pushed) live in the online runner's replication
+//! replay, which owns the caches.
 //!
 //! # Examples
 //!

@@ -71,8 +71,7 @@ pub use metrics::{
     served_loads, utilization_fairness, MetricsTotals, SlotMetrics, ValidationError,
 };
 pub use online::{
-    route_with_failover, CacheState, ChaosOptions, FailoverStats, OnlineReport, OnlineRunner,
-    OnlineSlotOutcome, RouteOptions,
+    route_with_failover, ChaosOptions, FailoverStats, OnlineReport, OnlineRunner, OnlineSlotOutcome,
 };
 pub use predict::{Ewma, HoltLinear, LastSlot, PopularityPredictor, SeasonalNaive, WindowMean};
 pub use runner::{RunReport, Runner, SlotOutcome};

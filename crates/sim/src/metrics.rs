@@ -374,7 +374,7 @@ impl MetricsTotals {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{route_with_failover, Assignment, HotspotGeometry, RouteOptions, SlotDemand};
+    use crate::{route_with_failover, Assignment, HotspotGeometry, SlotDemand};
     use ccdn_geo::{Point, Rect};
     use ccdn_trace::{Hotspot, Request, TraceConfig, UserId};
     use proptest::prelude::*;
@@ -924,15 +924,8 @@ mod tests {
                 })
                 .collect();
             let alive = vec![true; hotspots];
-            let (mut decision, _) = route_with_failover(
-                &geometry,
-                &demand,
-                &service,
-                placements,
-                &alive,
-                1.5,
-                RouteOptions::default(),
-            );
+            let (mut decision, _) =
+                route_with_failover(&geometry, &demand, &service, &placements, &alive, 1.5);
             let valid = SlotInput {
                 geometry: &geometry,
                 demand: &demand,

@@ -66,10 +66,12 @@
 //! Every run takes one fault path. Each slot is one sequential step:
 //! plan, then realize the slot's faults (the failure model's offline
 //! mask, then crashes and slow peers), then replay replication once. The
-//! replay owns the controller's believed caches ([`CacheState`], which
-//! assume every push landed and price degraded patches), what each cache
-//! actually holds, and the retry queue; serving is routed against the
-//! actual contents, and every transmitted push is charged.
+//! replay keeps one row per hotspot, sorted by video: its videos are
+//! what the controller believes is cached (every push assumed landed;
+//! degraded patches are priced against them), and each video's push
+//! state says whether its copy landed, waits for a retry, or was
+//! abandoned. Serving is routed against the landed copies, and every
+//! transmitted push is charged.
 //!
 //! Runnable examples live on [`OnlineRunner`].
 
@@ -83,7 +85,6 @@ use ccdn_chaos::{Backoff, Injector};
 use ccdn_obs::{Counter, Histogram};
 use ccdn_par::Threads;
 use ccdn_trace::{Trace, VideoId};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Cache wipes applied to offline hotspots during the replication replay.
 static CACHE_WIPES: Counter = Counter::new("sim.online.cache_wipes");
@@ -175,64 +176,6 @@ pub struct OnlineReport {
     pub degraded_slots: u64,
 }
 
-/// Per-hotspot cache contents persisted across slots, producing the
-/// delta-replication charge.
-///
-/// The online runner owns one of these; it is public so the wipe/delta
-/// semantics can be tested (and reused) in isolation.
-///
-/// # Examples
-///
-/// ```
-/// use ccdn_sim::CacheState;
-/// use ccdn_trace::VideoId;
-///
-/// let mut caches = CacheState::new(1);
-/// assert_eq!(caches.apply(0, &[VideoId(1), VideoId(2)]), 2); // cold push
-/// assert_eq!(caches.apply(0, &[VideoId(2), VideoId(3)]), 1); // only v3 new
-/// caches.wipe(0); // hotspot went offline
-/// assert_eq!(caches.apply(0, &[VideoId(2), VideoId(3)]), 2); // full re-push
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct CacheState {
-    cached: Vec<BTreeSet<VideoId>>,
-}
-
-impl CacheState {
-    /// Empty caches for `hotspot_count` hotspots.
-    pub fn new(hotspot_count: usize) -> Self {
-        CacheState { cached: vec![BTreeSet::new(); hotspot_count] }
-    }
-
-    /// Clears hotspot `h`'s cache (the device failed; its disk contents
-    /// are gone for scheduling purposes). Out-of-range `h` is a no-op.
-    pub fn wipe(&mut self, h: usize) {
-        if let Some(cache) = self.cached.get_mut(h) {
-            cache.clear();
-        }
-    }
-
-    /// Replaces hotspot `h`'s cache with `placement` and returns how many
-    /// of the videos are *new* — the delta the CDN must push this slot.
-    /// Out-of-range `h` is a no-op returning 0.
-    pub fn apply(&mut self, h: usize, placement: &[VideoId]) -> u64 {
-        let Some(cache) = self.cached.get_mut(h) else {
-            return 0;
-        };
-        let next: BTreeSet<VideoId> = placement.iter().copied().collect();
-        let delta = next.difference(cache).count() as u64;
-        *cache = next;
-        delta
-    }
-
-    /// Current contents of hotspot `h`'s cache (empty for out-of-range
-    /// `h`).
-    pub fn cached(&self, h: usize) -> &BTreeSet<VideoId> {
-        static EMPTY: BTreeSet<VideoId> = BTreeSet::new();
-        <[BTreeSet<VideoId>]>::get(&self.cached, h).unwrap_or(&EMPTY)
-    }
-}
-
 /// Failover tallies of one routed slot (see [`route_with_failover`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FailoverStats {
@@ -248,26 +191,8 @@ pub struct FailoverStats {
     pub disrupted: u64,
     /// Requests sent to the CDN because the chain-depth budget ran out
     /// while untried neighbours remained (see
-    /// [`RouteOptions::chain_budget`]).
+    /// [`ChaosOptions::with_chain_budget`]).
     pub origin_spilled: u64,
-}
-
-/// Optional behaviours of [`route_with_failover`]; the default routes
-/// exactly like the budget-free baseline.
-#[derive(Debug, Clone, Default)]
-pub struct RouteOptions {
-    /// The contents each hotspot *actually* holds, when they differ from
-    /// the planned placements (chaos faults: lost pushes, corruption).
-    /// Disruption attribution still uses the planned placements — the
-    /// planner's intent — while serving uses these. `None` means the
-    /// planned placements are the truth.
-    pub effective_placements: Option<Vec<Vec<VideoId>>>,
-    /// Per-request deadline budget: the maximum number of servers a
-    /// `(hotspot, video)` batch may consult (the local hotspot counts as
-    /// one). When the budget runs out with demand left and neighbours
-    /// untried, the rest goes to the CDN and is tallied as
-    /// `origin_spilled`. `None` means unbounded.
-    pub chain_budget: Option<u64>,
 }
 
 /// Chaos-plane configuration for an [`OnlineRunner`]: which faults to
@@ -324,8 +249,11 @@ impl ChaosOptions {
         self
     }
 
-    /// Caps the failover chain depth per request batch; spilled demand
-    /// goes to the CDN and is tallied as `origin_spilled`.
+    /// Caps the failover chain depth per request batch: the number of
+    /// servers a `(hotspot, video)` batch may consult, the local hotspot
+    /// included. When the budget runs out with demand left and
+    /// neighbours untried, the rest goes to the CDN and is tallied as
+    /// `origin_spilled`.
     pub fn with_chain_budget(mut self, budget: u64) -> Self {
         self.chain_budget = Some(budget);
         self
@@ -420,9 +348,6 @@ pub struct OnlineRunner<'a> {
     geometry: HotspotGeometry,
     /// Cooperation radius for routing against fixed placements, in km.
     radius_km: f64,
-    /// When true (default), slot 0 is planned from its realized demand
-    /// (standing in for "yesterday's" history before the trace begins).
-    warm_start: bool,
     failures: Option<FailureModel>,
     chaos: ChaosOptions,
     threads: Threads,
@@ -436,7 +361,6 @@ impl<'a> OnlineRunner<'a> {
             trace,
             geometry,
             radius_km: 1.5,
-            warm_start: true,
             failures: None,
             chaos: ChaosOptions::new(NoFaults),
             threads: Threads::Auto,
@@ -463,12 +387,6 @@ impl<'a> OnlineRunner<'a> {
         Ok(self)
     }
 
-    /// Disables the warm start: slot 0 gets empty caches.
-    pub fn with_cold_start(mut self) -> Self {
-        self.warm_start = false;
-        self
-    }
-
     /// Enables failure injection (see the module docs for the stale-mask
     /// planning, failover routing, and cache-wipe semantics).
     pub fn with_failures(mut self, failures: FailureModel) -> Self {
@@ -488,7 +406,10 @@ impl<'a> OnlineRunner<'a> {
         self
     }
 
-    /// Runs the loop with `predictor` supplying forecasts.
+    /// Runs the loop with `predictor` supplying forecasts. Slot 0, which
+    /// the predictor has no history for, is planned from its realized
+    /// demand (standing in for "yesterday's" history before the trace
+    /// begins).
     ///
     /// # Errors
     ///
@@ -504,11 +425,9 @@ impl<'a> OnlineRunner<'a> {
         P: PopularityPredictor + ?Sized,
     {
         self.drive(scheme, predictor.name().to_owned(), |actual, slot| {
-            let forecast = predictor.predict();
-            let plan = match forecast {
-                Some(f) => Some(f),
-                None if self.warm_start && slot == 0 => Some(actual.clone()),
-                None => None,
+            let plan = match predictor.predict() {
+                None if slot == 0 => Some(actual.clone()),
+                forecast => forecast,
             };
             predictor.observe(actual);
             plan
@@ -558,7 +477,7 @@ impl<'a> OnlineRunner<'a> {
 
         // Planning, the slot's faults and the replication replay are
         // stateful (predictor history, `&mut S`, the failure process, the
-        // stale-mask chain, the caches and retry queue), so each slot runs
+        // stale-mask chain, the replication rows), so each slot runs
         // them as one sequential step, in slot order.
         let chaos = &self.chaos;
         let injector = &*chaos.injector;
@@ -566,14 +485,7 @@ impl<'a> OnlineRunner<'a> {
         // Planning for slot t sees slot t−1's liveness; before the trace
         // begins the controller believes everyone is up.
         let mut stale_alive = vec![true; n];
-        let mut replay = ChaosReplay {
-            injector,
-            backoff: chaos.backoff,
-            believed: CacheState::new(n),
-            actual_cache: vec![BTreeSet::new(); n],
-            pending: vec![BTreeMap::new(); n],
-            tally: ChaosTally::default(),
-        };
+        let mut replay = ChaosReplay::new(injector, chaos.backoff, n);
         let mut planned: Vec<PlannedSlot> = Vec::with_capacity(slot_ids.len());
         for (&slot, actual) in slot_ids.iter().zip(&actuals) {
             // Plan placements against the forecast, under the *stale*
@@ -594,7 +506,7 @@ impl<'a> OnlineRunner<'a> {
                         plan_demand.as_ref(),
                         prev.and_then(|p| p.forecast.as_ref()),
                         &plan_cache,
-                        &replay.believed,
+                        &replay.rows,
                         chaos.patch_threshold,
                         chaos.patch_budget,
                     )
@@ -792,7 +704,7 @@ struct PlannedSlot {
 
 /// Local accumulator for the replay and chaos counters, flushed once per
 /// run.
-#[derive(Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct ChaosTally {
     cache_wipes: u64,
     faults: u64,
@@ -825,25 +737,58 @@ impl ChaosTally {
     }
 }
 
-/// Sequential replay of the replication layer: the controller's believed
-/// caches (which assume every push landed), what each cache *actually*
-/// holds under the injector's faults, and the bounded-retry queue for
-/// blocked or lost pushes.
+/// Replication state of one video the controller believes a hotspot
+/// caches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Push {
+    /// The copy arrived and can serve.
+    Landed,
+    /// No copy yet: push attempt `attempt` (zero-based) goes out at slot
+    /// `due`.
+    Retry { attempt: u32, due: u32 },
+    /// The attempt budget ran out. No copy serves until a plan evicts
+    /// the video or a wipe clears the row.
+    Abandoned,
+}
+
+/// One hotspot's replication row: `(video, state)` sorted by video, each
+/// video once.
+type PushRow = Vec<(VideoId, Push)>;
+
+/// The state of `video` in a sorted replication row, if the row holds it.
+fn push_state(row: &[(VideoId, Push)], video: VideoId) -> Option<Push> {
+    let i = row.binary_search_by_key(&video, |&(v, _)| v).ok()?;
+    <[(VideoId, Push)]>::get(row, i).map(|&(_, state)| state)
+}
+
+/// Sequential replay of the replication layer, one [`PushRow`] per
+/// hotspot. A row's videos are the controller's believed cache (every
+/// plan's videos, as if each push landed); their states say which copies
+/// can actually serve under the injector's faults and when a blocked or
+/// lost push is retried.
 struct ChaosReplay<'c> {
     injector: &'c dyn Injector,
     backoff: Backoff,
-    believed: CacheState,
-    actual_cache: Vec<BTreeSet<VideoId>>,
-    /// Per hotspot: video → `(next attempt index, due slot)`.
-    pending: Vec<BTreeMap<VideoId, (u32, u32)>>,
+    rows: Vec<PushRow>,
     tally: ChaosTally,
 }
 
-impl ChaosReplay<'_> {
+impl<'c> ChaosReplay<'c> {
+    /// Empty caches for `hotspots` hotspots.
+    fn new(injector: &'c dyn Injector, backoff: Backoff, hotspots: usize) -> Self {
+        ChaosReplay {
+            injector,
+            backoff,
+            rows: vec![Vec::new(); hotspots],
+            tally: ChaosTally::default(),
+        }
+    }
+
     /// Replays one slot's replication of `placements`. `true_alive` is
     /// the failure model's mask (offline ⇒ cache wiped); `serve_alive`
     /// also excludes crashed hotspots. Returns what each hotspot can
-    /// actually serve, in planner order, and the pushes charged.
+    /// actually serve, in planner order, and the pushes charged. A video
+    /// a plan lists twice is pushed and charged once.
     fn replay_slot(
         &mut self,
         slot: u32,
@@ -853,30 +798,20 @@ impl ChaosReplay<'_> {
     ) -> (Vec<Vec<VideoId>>, u64) {
         let mut delta = 0u64;
         let mut effective: Vec<Vec<VideoId>> = Vec::with_capacity(placements.len());
+        // Reused across hotspots: the plan sorted by video, and the
+        // buffer the next row is built in.
+        let mut plan: Vec<VideoId> = Vec::new();
+        let mut next: PushRow = Vec::new();
         for (h, placement) in placements.iter().enumerate() {
             if !true_alive[h] {
                 // Offline: the cache is gone and so are its in-flight
                 // retries; the next placement is charged as a full
                 // re-push.
-                self.believed.wipe(h);
-                self.actual_cache[h].clear();
-                self.pending[h].clear();
+                self.rows[h].clear();
                 self.tally.cache_wipes += 1;
                 effective.push(Vec::new());
                 continue;
             }
-            // The videos the CDN newly pushes, then the plan becomes the
-            // believed contents.
-            let have = self.believed.cached(h);
-            let fresh: Vec<VideoId> =
-                placement.iter().copied().filter(|v| !have.contains(v)).collect();
-            self.believed.apply(h, placement);
-            // Evictions are local and reliable: drop entries (and
-            // retries) the plan no longer wants.
-            let desired = self.believed.cached(h);
-            self.actual_cache[h].retain(|v| desired.contains(v));
-            self.pending[h].retain(|v, _| desired.contains(v));
-
             // A partitioned or crashed hotspot is unreachable for
             // pushes; blocked attempts are not charged.
             let partitioned = self.injector.partitioned(slot, h);
@@ -886,50 +821,63 @@ impl ChaosReplay<'_> {
                 self.tally.faults += 1;
             }
 
-            // Initial attempts for newly desired videos.
-            for v in fresh {
-                self.push_attempt(slot, h, v, 0, blocked, &mut delta);
-            }
-            // Due retries.
-            let due: Vec<(VideoId, u32)> = self.pending[h]
-                .iter()
-                .filter(|&(_, &(_, due_slot))| due_slot <= slot)
-                .map(|(&v, &(attempt, _))| (v, attempt))
-                .collect();
-            for (v, attempt) in due {
-                self.pending[h].remove(&v);
-                if self.actual_cache[h].contains(&v) {
-                    continue;
-                }
-                self.tally.retries += 1;
-                self.push_attempt(slot, h, v, attempt, blocked, &mut delta);
-            }
-
-            // Corruption invalidates entries before they can serve this
-            // slot; the re-fetch is detected on access and scheduled for
-            // the next slot.
-            self.actual_cache[h].retain(|&v| {
-                let corrupted = self.injector.corrupted(slot, h, u64::from(v.0));
-                if corrupted {
+            plan.clear();
+            plan.extend_from_slice(placement);
+            plan.sort_unstable();
+            plan.dedup();
+            // One pass over the old row and the plan. Evictions are local
+            // and reliable: a video the plan drops leaves the row, and its
+            // retry with it. A new video gets its first push, a due retry
+            // goes out again, and every landed copy is checked for
+            // corruption.
+            let old = std::mem::take(&mut self.rows[h]);
+            for joined in merge_join(&old, |&(v, _)| v, &plan, |&v| v) {
+                let (video, state) = match joined {
+                    Joined::Left(_) => continue,
+                    Joined::Right(&video) => {
+                        (video, self.push_attempt(slot, h, video, 0, blocked, &mut delta))
+                    }
+                    Joined::Both(&(video, Push::Retry { attempt, due }), _) if due <= slot => {
+                        self.tally.retries += 1;
+                        (video, self.push_attempt(slot, h, video, attempt, blocked, &mut delta))
+                    }
+                    Joined::Both(&kept, _) => kept,
+                };
+                // Corruption invalidates a copy before it can serve this
+                // slot; the re-fetch is detected on access and scheduled
+                // for the next slot.
+                let state = if state == Push::Landed
+                    && self.injector.corrupted(slot, h, u64::from(video.0))
+                {
                     self.tally.corruptions += 1;
                     self.tally.faults += 1;
-                    self.pending[h].entry(v).or_insert((0, slot.saturating_add(1)));
-                }
-                !corrupted
-            });
+                    Push::Retry { attempt: 0, due: slot.saturating_add(1) }
+                } else {
+                    state
+                };
+                next.push((video, state));
+            }
 
             // Servable contents, in planner order.
             effective.push(
-                placement.iter().copied().filter(|v| self.actual_cache[h].contains(v)).collect(),
+                placement
+                    .iter()
+                    .copied()
+                    .filter(|&v| push_state(&next, v) == Some(Push::Landed))
+                    .collect(),
             );
+            // The old row's buffer builds the next hotspot's row.
+            self.rows[h] = std::mem::replace(&mut next, old);
+            next.clear();
         }
         (effective, delta)
     }
 
-    /// One push attempt of `video` to `h`. Transmitted attempts are
-    /// charged whether or not they arrive; blocked ones (partition,
-    /// crash) are not. Failures reschedule per the backoff, until the
-    /// attempt budget runs out and the push is abandoned.
+    /// One push attempt of `video` to `h`, returning the video's new
+    /// state. Transmitted attempts are charged whether or not they
+    /// arrive; blocked ones (partition, crash) are not. Failures
+    /// reschedule per the backoff, until the attempt budget runs out and
+    /// the push is abandoned.
     fn push_attempt(
         &mut self,
         slot: u32,
@@ -938,7 +886,7 @@ impl ChaosReplay<'_> {
         attempt: u32,
         blocked: bool,
         delta: &mut u64,
-    ) {
+    ) -> Push {
         let lost = if blocked {
             true
         } else {
@@ -952,15 +900,17 @@ impl ChaosReplay<'_> {
             }
         };
         if !lost {
-            self.actual_cache[h].insert(video);
-            return;
+            return Push::Landed;
         }
         match self.backoff.delay_slots(attempt) {
             Some(wait) => {
                 self.tally.backoff_slots += u64::from(wait);
-                self.pending[h].insert(video, (attempt + 1, slot.saturating_add(wait)));
+                Push::Retry { attempt: attempt + 1, due: slot.saturating_add(wait) }
             }
-            None => self.tally.abandoned += 1,
+            None => {
+                self.tally.abandoned += 1;
+                Push::Abandoned
+            }
         }
     }
 }
@@ -969,13 +919,14 @@ impl ChaosReplay<'_> {
 /// the believed capacity) and greedily re-plan — Nearest-style, each
 /// hotspot caching its own most-demanded forecast videos — only the
 /// hotspots whose demand shifted beyond `threshold`, most-shifted first,
-/// spending at most `patch_budget` *extra* believed pushes on patches.
+/// spending at most `patch_budget` *extra* believed pushes on patches. A
+/// video costs one push when its hotspot's `believed` row lacks it.
 fn degraded_placements(
     prev: &[Vec<VideoId>],
     forecast: Option<&SlotDemand>,
     prev_forecast: Option<&SlotDemand>,
     plan_cache: &[u64],
-    believed: &CacheState,
+    believed: &[PushRow],
     threshold: f64,
     patch_budget: Option<u64>,
 ) -> Vec<Vec<VideoId>> {
@@ -1005,9 +956,9 @@ fn degraded_placements(
         vids.sort_by(|a, b| b.count.cmp(&a.count).then(a.video.cmp(&b.video)));
         let patch: Vec<VideoId> =
             vids.into_iter().take(plan_cache[h] as usize).map(|vd| vd.video).collect();
-        let have = believed.cached(h);
-        let base_cost = out[h].iter().filter(|v| !have.contains(v)).count() as u64;
-        let patch_cost = patch.iter().filter(|v| !have.contains(v)).count() as u64;
+        let have = <[PushRow]>::get(believed, h).map_or(&[][..], Vec::as_slice);
+        let base_cost = out[h].iter().filter(|&&v| push_state(have, v).is_none()).count() as u64;
+        let patch_cost = patch.iter().filter(|&&v| push_state(have, v).is_none()).count() as u64;
         let extra = patch_cost.saturating_sub(base_cost);
         if extra <= budget_left {
             budget_left -= extra;
@@ -1063,36 +1014,24 @@ fn masked(capacity: &[u64], alive: &[bool]) -> Vec<u64> {
 /// ignoring liveness — was offline: those an alive cacher rescued
 /// (`failed_over`) and those that fell to the CDN (`orphaned`).
 ///
-/// [`RouteOptions`] adds the chaos-plane behaviours: serving against
-/// chaos-adjusted effective contents (disruption attribution still uses
-/// the planned placements), and a per-request deadline budget capping
-/// how many servers a batch may consult before spilling to origin
-/// (tallied as `origin_spilled`). The default options route exactly like
-/// the baseline.
+/// Every planned copy serves and a chain has no depth budget, so
+/// `origin_spilled` is 0. [`OnlineRunner`] also routes against the copies
+/// that actually landed under chaos faults, with the budget of
+/// [`ChaosOptions::with_chain_budget`].
 ///
 /// `service` must already be zeroed for offline hotspots (it is re-masked
-/// defensively). With an all-alive mask and default options this is
-/// exactly the baseline greedy routing and the stats are zero.
+/// defensively). With an all-alive mask this is exactly the baseline
+/// greedy routing and the stats are zero.
 pub fn route_with_failover(
     geometry: &HotspotGeometry,
     actual: &SlotDemand,
     service: &[u64],
-    planned_placements: Vec<Vec<VideoId>>,
+    placements: &[Vec<VideoId>],
     alive: &[bool],
     radius_km: f64,
-    options: RouteOptions,
 ) -> (SlotDecision, FailoverStats) {
     let neighbours = radius_neighbour_rows(geometry, radius_km);
-    let effective = options.effective_placements.as_deref().unwrap_or(&planned_placements);
-    route_rows(
-        &neighbours,
-        actual,
-        service,
-        &planned_placements,
-        effective,
-        alive,
-        options.chain_budget,
-    )
+    route_rows(&neighbours, actual, service, placements, placements, alive, None)
 }
 
 /// Radius neighbours of every hotspot, one row each: the hotspots within
@@ -1117,10 +1056,13 @@ fn radius_neighbour_rows(geometry: &HotspotGeometry, radius_km: f64) -> FlatRows
     rows
 }
 
-/// [`route_with_failover`] on borrowed placements, with the radius
-/// neighbours already laid out as rows (see [`radius_neighbour_rows`]).
-/// `effective_placements` is what each hotspot can actually serve; pass
-/// the planned placements when the two agree.
+/// [`route_with_failover`] with the radius neighbours already laid out as
+/// rows (see [`radius_neighbour_rows`]). Requests are served from
+/// `effective_placements`, what each hotspot can actually serve, while
+/// disruption is attributed by the planned placements; pass the planned
+/// placements when the two agree. `chain_budget` caps the servers a batch
+/// may consult (see [`ChaosOptions::with_chain_budget`]); `None` means
+/// unbounded.
 fn route_rows(
     neighbours: &FlatRows<usize>,
     actual: &SlotDemand,
@@ -1307,18 +1249,6 @@ mod tests {
     }
 
     #[test]
-    fn cold_start_serves_slot_zero_from_cdn() {
-        let t = trace();
-        let report = OnlineRunner::new(&t)
-            .with_cold_start()
-            .run(&mut TopLocal, &mut LastSlot::new())
-            .unwrap();
-        let first = &report.slots[0];
-        assert_eq!(first.metrics.hotspot_served, 0, "no caches yet in slot 0");
-        assert_eq!(first.metrics.replicas, 0);
-    }
-
-    #[test]
     fn persistent_caches_charge_only_deltas() {
         let t = trace();
         let report = OnlineRunner::new(&t).run(&mut TopLocal, &mut LastSlot::new()).unwrap();
@@ -1464,28 +1394,8 @@ mod tests {
         };
         let placements = scheme.schedule(&input).placements;
         let alive = vec![true; t.hotspots.len()];
-        let (_, stats) = route_with_failover(
-            &geo,
-            &actual,
-            &service,
-            placements,
-            &alive,
-            1.5,
-            RouteOptions::default(),
-        );
+        let (_, stats) = route_with_failover(&geo, &actual, &service, &placements, &alive, 1.5);
         assert_eq!(stats, FailoverStats::default());
-    }
-
-    #[test]
-    fn cache_state_wipe_forces_full_repush() {
-        let mut caches = CacheState::new(2);
-        let p: Vec<VideoId> = (0..5).map(VideoId).collect();
-        assert_eq!(caches.apply(0, &p), 5);
-        assert_eq!(caches.apply(0, &p), 0, "unchanged placement is free");
-        caches.wipe(0);
-        assert!(caches.cached(0).is_empty());
-        assert_eq!(caches.apply(0, &p), 5, "wipe makes the re-push a full push");
-        assert_eq!(caches.apply(1, &p[..2]), 2, "hotspots are independent");
     }
 
     #[test]
@@ -1778,27 +1688,26 @@ mod tests {
         );
     }
 
-    // Reference routing, forecast error and demand shift over `BTreeSet`
-    // placements and `BTreeMap` joins (the routing without its
-    // chain-depth probe); the differential tests below pin the row
-    // versions to them.
+    // Reference routing, forecast error, demand shift and replication
+    // replay over `BTreeSet` placements and `BTreeMap` joins (the routing
+    // without its chain-depth probe); the differential tests below pin
+    // the row versions to them.
 
+    #[allow(clippy::too_many_arguments)]
     fn reference_route(
         geometry: &HotspotGeometry,
         actual: &SlotDemand,
         service: &[u64],
-        planned_placements: Vec<Vec<VideoId>>,
+        planned_placements: &[Vec<VideoId>],
+        effective_placements: &[Vec<VideoId>],
         alive: &[bool],
         radius_km: f64,
-        options: RouteOptions,
+        chain_budget: Option<u64>,
     ) -> (SlotDecision, FailoverStats) {
         let n = planned_placements.len();
         let planned_cached: Vec<BTreeSet<VideoId>> =
             planned_placements.iter().map(|p| p.iter().copied().collect()).collect();
-        let mut placements = match options.effective_placements {
-            Some(effective) => effective,
-            None => planned_placements,
-        };
+        let mut placements = effective_placements.to_vec();
         for (h, &a) in alive.iter().enumerate() {
             if !a {
                 placements[h].clear();
@@ -1806,7 +1715,7 @@ mod tests {
         }
         let cached: Vec<BTreeSet<VideoId>> =
             placements.iter().map(|p| p.iter().copied().collect()).collect();
-        let budget = options.chain_budget.unwrap_or(u64::MAX);
+        let budget = chain_budget.unwrap_or(u64::MAX);
         let mut decision = SlotDecision::new(n);
         decision.placements = placements;
         let mut capacity_left = masked(service, alive);
@@ -1922,6 +1831,131 @@ mod tests {
         diff as f64 / denominator
     }
 
+    /// The replication replay over three per-hotspot containers that must
+    /// agree: the believed caches (each plan's videos), the copies that
+    /// actually landed, and the retry queue (video → `(next attempt, due
+    /// slot)`).
+    struct ReferenceReplay<'c> {
+        injector: &'c dyn Injector,
+        backoff: Backoff,
+        believed: Vec<BTreeSet<VideoId>>,
+        actual: Vec<BTreeSet<VideoId>>,
+        pending: Vec<BTreeMap<VideoId, (u32, u32)>>,
+        tally: ChaosTally,
+    }
+
+    impl<'c> ReferenceReplay<'c> {
+        fn new(injector: &'c dyn Injector, backoff: Backoff, hotspots: usize) -> Self {
+            ReferenceReplay {
+                injector,
+                backoff,
+                believed: vec![BTreeSet::new(); hotspots],
+                actual: vec![BTreeSet::new(); hotspots],
+                pending: vec![BTreeMap::new(); hotspots],
+                tally: ChaosTally::default(),
+            }
+        }
+
+        fn run_slot(
+            &mut self,
+            slot: u32,
+            true_alive: &[bool],
+            serve_alive: &[bool],
+            placements: &[Vec<VideoId>],
+        ) -> (Vec<Vec<VideoId>>, u64) {
+            let mut delta = 0u64;
+            let mut effective: Vec<Vec<VideoId>> = Vec::with_capacity(placements.len());
+            for (h, placement) in placements.iter().enumerate() {
+                if !true_alive[h] {
+                    self.believed[h].clear();
+                    self.actual[h].clear();
+                    self.pending[h].clear();
+                    self.tally.cache_wipes += 1;
+                    effective.push(Vec::new());
+                    continue;
+                }
+                // The videos the CDN newly pushes, then the plan becomes
+                // the believed contents; evictions drop copies and retries.
+                let fresh: Vec<VideoId> =
+                    placement.iter().copied().filter(|v| !self.believed[h].contains(v)).collect();
+                self.believed[h] = placement.iter().copied().collect();
+                let desired = &self.believed[h];
+                self.actual[h].retain(|v| desired.contains(v));
+                self.pending[h].retain(|v, _| desired.contains(v));
+
+                let partitioned = self.injector.partitioned(slot, h);
+                let blocked = partitioned || !serve_alive[h];
+                if partitioned {
+                    self.tally.partitions += 1;
+                    self.tally.faults += 1;
+                }
+                for v in fresh {
+                    self.try_push(slot, h, v, 0, blocked, &mut delta);
+                }
+                let due: Vec<(VideoId, u32)> = self.pending[h]
+                    .iter()
+                    .filter(|&(_, &(_, due_slot))| due_slot <= slot)
+                    .map(|(&v, &(attempt, _))| (v, attempt))
+                    .collect();
+                for (v, attempt) in due {
+                    self.pending[h].remove(&v);
+                    if self.actual[h].contains(&v) {
+                        continue;
+                    }
+                    self.tally.retries += 1;
+                    self.try_push(slot, h, v, attempt, blocked, &mut delta);
+                }
+                self.actual[h].retain(|&v| {
+                    let corrupted = self.injector.corrupted(slot, h, u64::from(v.0));
+                    if corrupted {
+                        self.tally.corruptions += 1;
+                        self.tally.faults += 1;
+                        self.pending[h].entry(v).or_insert((0, slot.saturating_add(1)));
+                    }
+                    !corrupted
+                });
+                effective.push(
+                    placement.iter().copied().filter(|v| self.actual[h].contains(v)).collect(),
+                );
+            }
+            (effective, delta)
+        }
+
+        fn try_push(
+            &mut self,
+            slot: u32,
+            h: usize,
+            video: VideoId,
+            attempt: u32,
+            blocked: bool,
+            delta: &mut u64,
+        ) {
+            let lost = if blocked {
+                true
+            } else {
+                *delta += 1;
+                if self.injector.push_lost(slot, h, u64::from(video.0)) {
+                    self.tally.push_losses += 1;
+                    self.tally.faults += 1;
+                    true
+                } else {
+                    false
+                }
+            };
+            if !lost {
+                self.actual[h].insert(video);
+                return;
+            }
+            match self.backoff.delay_slots(attempt) {
+                Some(wait) => {
+                    self.tally.backoff_slots += u64::from(wait);
+                    self.pending[h].insert(video, (attempt + 1, slot.saturating_add(wait)));
+                }
+                None => self.tally.abandoned += 1,
+            }
+        }
+    }
+
     /// SplitMix-style mixing, so a scenario's picks follow from its seeds.
     fn mix(a: u64, b: u64) -> u64 {
         let mut x = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -2007,21 +2041,19 @@ mod tests {
             let demand = SlotDemand::aggregate(trace.slot_requests(0), &geometry);
             let service: Vec<u64> =
                 trace.hotspots.iter().map(|h| u64::from(h.service_capacity)).collect();
-            let options = RouteOptions {
-                effective_placements: with_effective.then_some(effective),
-                chain_budget: budget,
-            };
-            let got = route_with_failover(
-                &geometry,
+            let effective = if with_effective { &effective } else { &placements };
+            let got = route_rows(
+                &radius_neighbour_rows(&geometry, radius_km),
                 &demand,
                 &service,
-                placements.clone(),
+                &placements,
+                effective,
                 &alive,
-                radius_km,
-                options.clone(),
+                budget,
             );
-            let want =
-                reference_route(&geometry, &demand, &service, placements, &alive, radius_km, options);
+            let want = reference_route(
+                &geometry, &demand, &service, &placements, effective, &alive, radius_km, budget,
+            );
             prop_assert_eq!(got, want);
         }
 
@@ -2058,6 +2090,110 @@ mod tests {
                     }
                 }
             }
+        }
+
+        /// The row replay charges, serves and believes what the
+        /// three-container reference does, slot by slot, and ends with the
+        /// same tallies. Plans are duplicate-free, in planner order, drawn
+        /// from a dozen videos and kept from the previous slot unless they
+        /// churn, so they overlap across slots. Failure masks are random,
+        /// each serving mask lies inside its failure mask, the fault plan
+        /// runs at a random intensity, and short retry budgets abandon
+        /// pushes.
+        #[test]
+        fn prop_row_replay_matches_the_tree_reference(
+            hotspots in 1usize..=6,
+            slots in 2u32..=12,
+            seed in 0u64..10_000,
+            p_off in 0.0f64..=0.5,
+            p_crash in 0.0f64..=0.5,
+            churn in 0.0f64..=1.0,
+            intensity in 0.0f64..=1.0,
+            attempts in 0u32..=4,
+            base in 1u32..=2,
+        ) {
+            let faults = ccdn_chaos::FaultPlan::new(
+                ccdn_chaos::ChaosConfig::at_intensity(seed, intensity).unwrap(),
+            )
+            .unwrap();
+            let backoff = Backoff::new(base, attempts);
+            let mut replay = ChaosReplay::new(&faults, backoff, hotspots);
+            let mut reference = ReferenceReplay::new(&faults, backoff, hotspots);
+            let draw = |salt: u64, key: u64| mix(seed ^ salt, key) as f64 / u64::MAX as f64;
+            let mut placements: Vec<Vec<VideoId>> = vec![Vec::new(); hotspots];
+            for slot in 0..slots {
+                let key = |h: usize| u64::from(slot) << 8 | h as u64;
+                let true_alive: Vec<bool> =
+                    (0..hotspots).map(|h| draw(0xA11E, key(h)) >= p_off).collect();
+                let serve_alive: Vec<bool> = (0..hotspots)
+                    .map(|h| true_alive[h] && draw(0xC0DE, key(h)) >= p_crash)
+                    .collect();
+                for (h, plan) in placements.iter_mut().enumerate() {
+                    if slot > 0 && draw(0xC4A9, key(h)) >= churn {
+                        continue;
+                    }
+                    *plan = (0..12u32)
+                        .filter(|&v| draw(0x9A7E, key(h) << 8 | u64::from(v)) < 0.5)
+                        .map(VideoId)
+                        .collect();
+                    // Planner order is not sorted order.
+                    let shift = mix(seed, key(h)) as usize % plan.len().max(1);
+                    plan.rotate_left(shift);
+                }
+                let got = replay.replay_slot(slot, &true_alive, &serve_alive, &placements);
+                let want = reference.run_slot(slot, &true_alive, &serve_alive, &placements);
+                prop_assert_eq!(got, want, "slot {}", slot);
+                for (row, believed) in replay.rows.iter().zip(&reference.believed) {
+                    prop_assert!(
+                        row.iter().map(|&(v, _)| v).eq(believed.iter().copied()),
+                        "slot {}: believed {:?}, reference {:?}",
+                        slot,
+                        row,
+                        believed
+                    );
+                }
+            }
+            prop_assert_eq!(replay.tally, reference.tally);
+        }
+
+        /// Delta accounting with no faults: the first push charges the
+        /// plan's distinct videos, an unchanged plan is free, a changed
+        /// plan charges exactly its new videos, and after a wipe the
+        /// re-push is charged in full. Plans come in planner order and may
+        /// list a video twice; it is pushed and charged once.
+        #[test]
+        fn prop_wipe_delta_equals_repushed_set(
+            n in 1usize..20,
+            a in prop::collection::vec(0u32..150, 0..40),
+            b in prop::collection::vec(0u32..150, 0..40),
+        ) {
+            let a: Vec<VideoId> = a.into_iter().map(VideoId).collect();
+            let b: Vec<VideoId> = b.into_iter().map(VideoId).collect();
+            let distinct = |p: &[VideoId]| p.iter().collect::<BTreeSet<_>>().len() as u64;
+            let h = n - 1;
+            let mut replay = ChaosReplay::new(&NoFaults, Backoff::default(), n);
+            let alive = vec![true; n];
+            let mut plans = vec![Vec::new(); n];
+            let mut charge = |slot: u32, alive: &[bool], plans: &[Vec<VideoId>]| {
+                replay.replay_slot(slot, alive, alive, plans).1
+            };
+
+            plans[h] = a.clone();
+            prop_assert_eq!(charge(0, &alive, &plans), distinct(&a), "first push charges the full set");
+            prop_assert_eq!(charge(1, &alive, &plans), 0, "unchanged placement is free");
+
+            plans[h] = b.clone();
+            let fresh = b.iter().filter(|v| !a.contains(v)).collect::<BTreeSet<_>>().len() as u64;
+            prop_assert_eq!(charge(2, &alive, &plans), fresh, "delta must charge exactly the new videos");
+
+            let mut down = alive.clone();
+            down[h] = false;
+            prop_assert_eq!(charge(3, &down, &plans), 0, "an offline hotspot is not pushed to");
+            prop_assert_eq!(
+                charge(4, &alive, &plans),
+                distinct(&b),
+                "wipe forgets everything: the re-push is the whole set"
+            );
         }
     }
 }

@@ -1,6 +1,5 @@
 use crate::{
-    FailureModel, HotspotGeometry, MetricsTotals, Scheme, SlotDemand, SlotInput, SlotMetrics,
-    ValidationError,
+    HotspotGeometry, MetricsTotals, Scheme, SlotDemand, SlotInput, SlotMetrics, ValidationError,
 };
 use ccdn_par::Threads;
 use ccdn_trace::Trace;
@@ -41,7 +40,6 @@ pub struct RunReport {
 pub struct Runner<'a> {
     trace: &'a Trace,
     geometry: HotspotGeometry,
-    failures: Option<FailureModel>,
     threads: Threads,
 }
 
@@ -49,7 +47,7 @@ impl<'a> Runner<'a> {
     /// Creates a runner for `trace`.
     pub fn new(trace: &'a Trace) -> Self {
         let geometry = HotspotGeometry::new(trace.region, &trace.hotspots);
-        Runner { trace, geometry, failures: None, threads: Threads::Auto }
+        Runner { trace, geometry, threads: Threads::Auto }
     }
 
     /// Sets the worker thread count for the pure per-slot phases (demand
@@ -58,15 +56,6 @@ impl<'a> Runner<'a> {
     /// stateful and always runs sequentially in slot order.
     pub fn with_threads(mut self, n: usize) -> Self {
         self.threads = Threads::Fixed(n);
-        self
-    }
-
-    /// Enables failure injection: offline hotspots have zero service and
-    /// cache capacity for the slot (the scheme sees the true mask — the
-    /// offline runner has no planning/serving gap; for stale-information
-    /// planning use [`OnlineRunner`](crate::OnlineRunner)).
-    pub fn with_failures(mut self, failures: FailureModel) -> Self {
-        self.failures = Some(failures);
         self
     }
 
@@ -81,7 +70,6 @@ impl<'a> Runner<'a> {
     ///
     /// Propagates the first [`ValidationError`] a slot decision violates.
     pub fn run<S: Scheme + ?Sized>(&self, scheme: &mut S) -> Result<RunReport, ValidationError> {
-        let n = self.trace.hotspots.len();
         let slot_ids: Vec<u32> = (0..self.trace.slot_count).collect();
 
         // Demand aggregation is pure per slot: fan out, merge in slot
@@ -94,68 +82,44 @@ impl<'a> Runner<'a> {
             })
         };
 
-        // Scheduling is stateful (`&mut S`, the failure process) and
-        // timed, so it stays sequential in slot order.
+        // Every slot plans and is scored against the same capacities.
+        let service_capacity: Vec<u64> =
+            self.trace.hotspots.iter().map(|h| u64::from(h.service_capacity)).collect();
+        let cache_capacity: Vec<u64> =
+            self.trace.hotspots.iter().map(|h| u64::from(h.cache_capacity)).collect();
+        let input = |demand| SlotInput {
+            geometry: &self.geometry,
+            demand,
+            service_capacity: &service_capacity,
+            cache_capacity: &cache_capacity,
+            video_count: self.trace.video_count,
+        };
+
+        // Scheduling is stateful (`&mut S`) and timed, so it stays
+        // sequential in slot order.
         let _schedule_span = ccdn_obs::span("sim.runner.schedule");
         let mut scheduling_time = Duration::ZERO;
-        let mut process = self.failures.as_ref().map(FailureModel::process);
         let mut scheduled = Vec::with_capacity(slot_ids.len());
-        for (&slot, demand) in slot_ids.iter().zip(&demands) {
-            let alive = match &mut process {
-                Some(p) => p.advance(slot, &self.geometry),
-                None => vec![true; n],
-            };
-            let service_capacity: Vec<u64> = self
-                .trace
-                .hotspots
-                .iter()
-                .zip(&alive)
-                .map(|(h, &a)| if a { u64::from(h.service_capacity) } else { 0 })
-                .collect();
-            let cache_capacity: Vec<u64> = self
-                .trace
-                .hotspots
-                .iter()
-                .zip(&alive)
-                .map(|(h, &a)| if a { u64::from(h.cache_capacity) } else { 0 })
-                .collect();
-            let input = SlotInput {
-                geometry: &self.geometry,
-                demand,
-                service_capacity: &service_capacity,
-                cache_capacity: &cache_capacity,
-                video_count: self.trace.video_count,
-            };
-            let (decision, elapsed) = ccdn_obs::timed(|| scheme.schedule(&input));
+        for demand in &demands {
+            let (decision, elapsed) = ccdn_obs::timed(|| scheme.schedule(&input(demand)));
             scheduling_time += elapsed;
-            scheduled.push((service_capacity, cache_capacity, decision, elapsed));
+            scheduled.push((decision, elapsed));
         }
         drop(_schedule_span);
 
         // Metric evaluation is pure per slot: fan out again.
         let _eval_span = ccdn_obs::span("sim.runner.evaluate");
-        let evaluated = ccdn_par::par_map_indexed(
-            self.threads,
-            0,
-            &scheduled,
-            |i, (service_capacity, cache_capacity, decision, _)| {
-                let input = SlotInput {
-                    geometry: &self.geometry,
-                    demand: &demands[i],
-                    service_capacity,
-                    cache_capacity,
-                    video_count: self.trace.video_count,
-                };
-                SlotMetrics::evaluate(&input, decision)
-            },
-        );
+        let evaluated =
+            ccdn_par::par_map_indexed(self.threads, 0, &scheduled, |i, (decision, _)| {
+                SlotMetrics::evaluate(&input(&demands[i]), decision)
+            });
         drop(_eval_span);
 
         // Sequential merge: the first error in slot order propagates, so
         // error reporting matches the sequential path exactly.
         let mut slots = Vec::with_capacity(slot_ids.len());
         let mut total = MetricsTotals::default();
-        for ((slot, result), (_, _, _, elapsed)) in
+        for ((slot, result), (_, elapsed)) in
             slot_ids.iter().copied().zip(evaluated).zip(&scheduled)
         {
             let metrics = result?;
@@ -224,14 +188,6 @@ mod tests {
         let trace = TraceConfig::small_test().generate();
         let err = Runner::new(&trace).run(&mut DropsEverything).unwrap_err();
         assert!(matches!(err, ValidationError::DemandMismatch { .. }));
-    }
-
-    #[test]
-    fn failures_zero_capacities_but_cdn_scheme_unaffected() {
-        let trace = TraceConfig::small_test().generate();
-        let failures = FailureModel::iid(1.0, 3).unwrap();
-        let report = Runner::new(&trace).with_failures(failures).run(&mut CdnOnly).unwrap();
-        assert_eq!(report.total.cdn_server_load(), 1.0);
     }
 
     #[test]

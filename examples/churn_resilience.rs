@@ -5,8 +5,9 @@
 //!
 //! Two views:
 //!
-//! 1. the offline runner under i.i.d. churn (the scheme sees the true
-//!    liveness mask — pure capacity loss);
+//! 1. the offline runner on a deployment whose hotspots offline in one
+//!    i.i.d. failure mask have zero service and cache capacity (the
+//!    scheme sees the true liveness mask — pure capacity loss);
 //! 2. the online runner under sticky Markov failures, where planning is a
 //!    slot behind reality: requests whose planned server died are either
 //!    *failed over* to an alive neighbour caching the video or *orphaned*
@@ -19,8 +20,8 @@
 //! ```
 
 use crowdsourced_cdn::core::{LocalRandom, Nearest, Rbcaer, RbcaerConfig};
-use crowdsourced_cdn::sim::{FailureModel, OnlineRunner, Runner, Scheme};
-use crowdsourced_cdn::trace::TraceConfig;
+use crowdsourced_cdn::sim::{FailureModel, HotspotGeometry, OnlineRunner, Runner, Scheme};
+use crowdsourced_cdn::trace::{Trace, TraceConfig};
 
 fn schemes() -> Vec<Box<dyn Scheme>> {
     vec![
@@ -28,6 +29,21 @@ fn schemes() -> Vec<Box<dyn Scheme>> {
         Box::new(Nearest::new()),
         Box::new(LocalRandom::new(1.5, 42)),
     ]
+}
+
+/// A copy of `trace` whose hotspots offline in `failures`' first slot
+/// have zero service and cache capacity.
+fn with_offline_hotspots(trace: &Trace, failures: FailureModel) -> Trace {
+    let geometry = HotspotGeometry::new(trace.region, &trace.hotspots);
+    let alive = failures.process().advance(0, &geometry);
+    let mut degraded = trace.clone();
+    for (hotspot, up) in degraded.hotspots.iter_mut().zip(alive) {
+        if !up {
+            hotspot.service_capacity = 0;
+            hotspot.cache_capacity = 0;
+        }
+    }
+    degraded
 }
 
 fn main() {
@@ -44,16 +60,17 @@ fn main() {
         trace.slot_count
     );
 
-    println!("-- offline runner, i.i.d. churn --");
+    println!("-- offline runner, i.i.d. offline hotspots --");
     println!(
         "{:<14} {:>10} {:>10} {:>10}   (hotspot serving ratio)",
         "offline prob", "RBCAer", "Nearest", "Random"
     );
     for &p in &[0.0, 0.1, 0.2, 0.3, 0.5, 0.7] {
         let mut row = format!("{:<14}", format!("{:.0}%", p * 100.0));
+        let failures = FailureModel::iid(p, 17).expect("probability is valid");
+        let degraded = with_offline_hotspots(&trace, failures);
+        let runner = Runner::new(&degraded);
         for mut scheme in schemes() {
-            let failures = FailureModel::iid(p, 17).expect("probability is valid");
-            let runner = Runner::new(&trace).with_failures(failures);
             let report = runner.run(scheme.as_mut()).expect("scheme validates");
             row.push_str(&format!(" {:>10.3}", report.total.hotspot_serving_ratio()));
         }

@@ -3,7 +3,7 @@
 
 use crowdsourced_cdn::core::{LocalRandom, LpBased, LpBasedConfig, Nearest, Rbcaer, RbcaerConfig};
 use crowdsourced_cdn::sim::{
-    Ewma, FailureModel, OnlineRunner, RunReport, Runner, Scheme, SeasonalNaive,
+    Ewma, FailureModel, HotspotGeometry, OnlineRunner, RunReport, Runner, Scheme, SeasonalNaive,
 };
 use crowdsourced_cdn::trace::{Trace, TraceConfig};
 
@@ -14,6 +14,22 @@ fn mid_trace() -> Trace {
         .with_video_count(800)
         .with_seed(99)
         .generate()
+}
+
+/// A copy of `trace` whose hotspots offline in `failures`' first slot
+/// have zero service and cache capacity: capacity loss every scheme must
+/// plan around.
+fn with_offline_hotspots(trace: &Trace, failures: FailureModel) -> Trace {
+    let geometry = HotspotGeometry::new(trace.region, &trace.hotspots);
+    let alive = failures.process().advance(0, &geometry);
+    let mut degraded = trace.clone();
+    for (hotspot, up) in degraded.hotspots.iter_mut().zip(alive) {
+        if !up {
+            hotspot.service_capacity = 0;
+            hotspot.cache_capacity = 0;
+        }
+    }
+    degraded
 }
 
 fn all_schemes() -> Vec<Box<dyn Scheme>> {
@@ -90,8 +106,8 @@ fn rbcaer_dominates_nearest_on_the_paper_metrics() {
 fn schemes_survive_heavy_churn() {
     let trace = mid_trace();
     for p in [0.25, 0.5, 0.9] {
-        let failures = FailureModel::iid(p, 3).unwrap();
-        let runner = Runner::new(&trace).with_failures(failures);
+        let degraded = with_offline_hotspots(&trace, FailureModel::iid(p, 3).unwrap());
+        let runner = Runner::new(&degraded);
         for mut scheme in all_schemes() {
             let report = runner
                 .run(scheme.as_mut())
@@ -106,7 +122,8 @@ fn schemes_survive_markov_failures_with_regional_outages() {
     let trace = mid_trace();
     let failures =
         FailureModel::markov(6.0, 3.0, 7).unwrap().with_regional_outages(0.2, 2.0).unwrap();
-    let runner = Runner::new(&trace).with_failures(failures);
+    let degraded = with_offline_hotspots(&trace, failures);
+    let runner = Runner::new(&degraded);
     for mut scheme in all_schemes() {
         let report = runner
             .run(scheme.as_mut())
@@ -120,11 +137,8 @@ fn churn_degrades_serving_monotonically_for_rbcaer() {
     let trace = mid_trace();
     let mut last = f64::INFINITY;
     for p in [0.0, 0.3, 0.6, 0.95] {
-        let failures = FailureModel::iid(p, 11).unwrap();
-        let report = Runner::new(&trace)
-            .with_failures(failures)
-            .run(&mut Rbcaer::new(RbcaerConfig::default()))
-            .unwrap();
+        let degraded = with_offline_hotspots(&trace, FailureModel::iid(p, 11).unwrap());
+        let report = Runner::new(&degraded).run(&mut Rbcaer::new(RbcaerConfig::default())).unwrap();
         let ratio = report.total.hotspot_serving_ratio();
         assert!(
             ratio <= last + 0.05,
