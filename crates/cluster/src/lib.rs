@@ -14,7 +14,7 @@
 //! where `Vi` is hotspot `i`'s Top-20 % content set, cut so that hotspots
 //! in the same cluster are within distance 0.5 of each other.
 //!
-//! This crate provides [`jaccard`] over sorted id sets, a packed
+//! This crate provides [`jaccard()`] over sorted id sets, a packed
 //! [`DistanceMatrix`], [`hierarchical_cluster`] with selectable
 //! [`Linkage`], and [`cluster_jaccard`], which clusters sets on `Jd`
 //! directly. Both clusterers share one merge loop: each row caches its

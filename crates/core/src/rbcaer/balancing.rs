@@ -2,7 +2,7 @@
 //! construction and the Algorithm-1 threshold loop (§IV-A/§IV-C).
 
 use crate::config::{GuideCost, RbcaerConfig};
-use ccdn_flow::{EdgeId, FlowNetwork, McmfAlgorithm};
+use ccdn_flow::{EdgeId, FlowNetwork};
 use ccdn_obs::Counter;
 use ccdn_par::Threads;
 use ccdn_sim::SlotInput;
@@ -57,7 +57,10 @@ impl GdStats {
         if self.hotspot_count == 0 {
             0.0
         } else {
-            self.edges as f64 / (self.hotspot_count * self.hotspot_count) as f64
+            // Squared in f64: exact for any count whose square fits the
+            // mantissa, and no usize product to overflow.
+            let n = self.hotspot_count as f64;
+            self.edges as f64 / (n * n)
         }
     }
 
@@ -71,29 +74,20 @@ impl GdStats {
         }
     }
 
-    /// Computes the Fig. 9 data point for one slot at threshold
-    /// `theta_km`: build `Gd` over the slot's overloaded/under-utilized
-    /// hotspots and measure its size and max flow.
-    // lint: allow(panic-reach): delegates to compute_with, whose only panic
-    // sinks are the Gd builder's infallible add_edge expects and the Dinic
-    // solver shared with every balancing entry.
-    pub fn compute(input: &SlotInput<'_>, theta_km: f64) -> GdStats {
-        let parts = Participants::from_input(input);
-        let mut arena = FlowNetwork::new();
-        GdStats::compute_with(input, &parts, theta_km, &mut arena)
-    }
-
-    /// [`GdStats::compute`] against a pre-computed hotspot partition and
-    /// a reusable `arena` network, so a sweep builds the `Participants`
-    /// once and rebuilds each θ's `Gd` into the same backing allocations
-    /// instead of reallocating the graph per point.
+    /// One Fig. 9 data point at threshold `theta_km`: `Gd` over the
+    /// partition `parts`, rebuilt into the reusable `arena` network, and
+    /// its size and max flow.
     fn compute_with(
         input: &SlotInput<'_>,
         parts: &Participants,
         theta_km: f64,
         arena: &mut FlowNetwork,
     ) -> GdStats {
-        let mut builder = GraphBuilder::new(arena, parts);
+        let mut builder = GraphBuilder::from_slacks(
+            arena,
+            parts.overloaded.iter().map(|&(_, phi)| phi),
+            parts.under.iter().map(|&(_, phi)| phi),
+        );
         for (si, &(i, phi_i)) in parts.overloaded.iter().enumerate() {
             for (ti, &(j, phi_j)) in parts.under.iter().enumerate() {
                 let d = input.geometry.distance(HotspotId(i), HotspotId(j));
@@ -118,10 +112,12 @@ impl GdStats {
         }
     }
 
-    /// [`GdStats::compute`] over a whole θ sweep: the data points are
-    /// independent, so they fan out over the worker pool and come back in
-    /// `thetas` order (the resolved thread count never changes the
-    /// values, only the wall-clock time).
+    /// The Fig. 9 data points of one slot, one per threshold in
+    /// `thetas`: `Gd` over the slot's overloaded/under-utilized hotspots
+    /// at each θ, with its size and max flow. The points are independent,
+    /// so they fan out over the worker pool and come back in `thetas`
+    /// order (the resolved thread count never changes the values, only
+    /// the wall-clock time).
     ///
     /// The sweep is split into one contiguous chunk per worker, and each
     /// chunk reuses a single arena [`FlowNetwork`] across its θ points.
@@ -129,12 +125,13 @@ impl GdStats {
     /// a pure function of `(input, parts, θ)` — the arena is fully
     /// cleared between points — so the output values stay thread-count
     /// invariant.
-    // lint: allow(panic-reach): same sinks as compute — the shared
-    // compute_with helper behind the θ-sweep fan-out.
+    // lint: allow(panic-reach): the only panic sinks behind the θ-sweep
+    // fan-out are the Gd builder's infallible add_edge expects and the
+    // Dinic solver.
     pub fn compute_sweep(input: &SlotInput<'_>, thetas: &[f64]) -> Vec<GdStats> {
         // One partition shared by every θ worker; the per-point work
         // only reads it.
-        let parts = Participants::from_input(input);
+        let parts = Participants::new(input, 0..input.hotspot_count());
         let workers = Threads::Auto.resolve().max(1);
         let chunk_len = thetas.len().div_ceil(workers).max(1);
         let chunks: Vec<&[f64]> = thetas.chunks(chunk_len).collect();
@@ -162,32 +159,11 @@ pub(crate) struct Participants {
 }
 
 impl Participants {
-    pub(crate) fn from_input(input: &SlotInput<'_>) -> Self {
-        let mut overloaded = Vec::new();
-        let mut under = Vec::new();
-        for h in 0..input.hotspot_count() {
-            let load = input.demand.load(HotspotId(h));
-            let cap = input.service_capacity[h];
-            if load > cap {
-                overloaded.push((h, load - cap));
-            } else if load < cap && input.cache_capacity[h] > 0 {
-                under.push((h, cap - load));
-            }
-        }
-        Participants { overloaded, under }
-    }
-
-    /// The partition restricted to the hotspots yielded by `members`
-    /// (ascending order expected — it fixes the node order of every graph
-    /// built from the partition). With all hotspots this is exactly
-    /// [`Participants::from_input`]; the sharded planner feeds one tile's
-    /// membership list.
-    // lint: allow(panic-reach, unchecked-arith-reach): the same slice-indexed partition
-    // loop as from_input — load/cap differences are guarded by the comparisons above them
-    pub(crate) fn from_members(
-        input: &SlotInput<'_>,
-        members: impl IntoIterator<Item = usize>,
-    ) -> Self {
+    /// The partition of the hotspots `members` yields, in that order
+    /// (ascending, which fixes the node order of every graph built from
+    /// it): one tile's members for the balancing loop, every hotspot for
+    /// Fig. 9, the merged `max_movable` and the border pass's residuals.
+    pub(crate) fn new(input: &SlotInput<'_>, members: impl IntoIterator<Item = usize>) -> Self {
         let mut overloaded = Vec::new();
         let mut under = Vec::new();
         for h in members {
@@ -238,17 +214,11 @@ struct RoundScratch {
     s_nodes: Vec<usize>,
     t_nodes: Vec<usize>,
     pair_edges: Vec<(EdgeId, usize, usize)>,
+    /// The round's arc plans, one list per under-utilized slot.
+    plans: Vec<Vec<EdgePlan>>,
 }
 
 impl<'n> GraphBuilder<'n> {
-    fn new(net: &'n mut FlowNetwork, parts: &Participants) -> Self {
-        Self::from_slacks(
-            net,
-            parts.overloaded.iter().map(|&(_, phi)| phi),
-            parts.under.iter().map(|&(_, phi)| phi),
-        )
-    }
-
     /// Builds the source/sink skeleton straight from slack iterators, with
     /// a node for every overloaded and under-utilized hotspot.
     fn from_slacks(
@@ -374,7 +344,7 @@ impl<'n> GraphBuilder<'n> {
 
     /// Adds every under slot's planned arcs, in `ti` order — the order
     /// that pins node/edge ids (and with them MCMF tie-breaking).
-    fn add_plans(&mut self, plans: Vec<Vec<EdgePlan>>) {
+    fn add_plans(&mut self, plans: impl IntoIterator<Item = Vec<EdgePlan>>) {
         for (ti, plan) in plans.into_iter().enumerate() {
             for p in plan {
                 match p {
@@ -394,7 +364,7 @@ impl<'n> GraphBuilder<'n> {
     fn solve(self, scratch: &mut RoundScratch) -> Vec<((usize, usize), u64)> {
         let GraphBuilder { net, source, sink, s_nodes, t_nodes, pair_edges } = self;
         let _ = net
-            .min_cost_max_flow(source, sink, McmfAlgorithm::SspDijkstra)
+            .min_cost_max_flow(source, sink)
             // lint: allow(no-panic): builder endpoints are two distinct freshly added nodes
             .expect("valid endpoints");
         let flows = pair_edges
@@ -404,27 +374,14 @@ impl<'n> GraphBuilder<'n> {
                 (f > 0).then_some(((si, ti), f as u64))
             })
             .collect();
-        *scratch = RoundScratch { s_nodes, t_nodes, pair_edges };
+        (scratch.s_nodes, scratch.t_nodes, scratch.pair_edges) = (s_nodes, t_nodes, pair_edges);
         flows
     }
 }
 
-/// Runs Algorithm 1's balancing loop and returns the accumulated flows.
-///
-/// `cluster_of[h]` assigns every hotspot to a content cluster (ignored
-/// when `config.content_aggregation` is false).
-pub(crate) fn balance(
-    input: &SlotInput<'_>,
-    config: &RbcaerConfig,
-    cluster_of: &[usize],
-) -> BalanceOutcome {
-    balance_with_parts(input, config, cluster_of, Participants::from_input(input), Threads::Auto)
-}
-
 /// One planned arc of a balancing round, computed per under-utilized slot
-/// in parallel and then applied to the [`GraphBuilder`] sequentially in
-/// `ti` order — edge/node ids (and with them MCMF tie-breaking) stay
-/// identical to the sequential construction.
+/// and added to the [`GraphBuilder`] in `ti` order, which pins edge/node
+/// ids (and with them MCMF tie-breaking).
 enum EdgePlan {
     /// A direct `i → j` arc.
     Direct { si: usize, capacity: u64, cost_km: f64 },
@@ -433,36 +390,20 @@ enum EdgePlan {
     Guide { sources: Vec<(usize, u64, f64)>, out_capacity: u64, out_cost: f64 },
 }
 
-/// [`balance`] restricted to the hotspots in `members` — the sharded
-/// planner's per-tile entry point. Only members join the
+/// Runs Algorithm 1's balancing loop over the hotspots in `members`
+/// (ascending) and returns the accumulated flows. Only members join the
 /// overloaded/under-utilized partition, so the θ loop and its MCMF stay
-/// tile-local; with `members` covering every hotspot (in ascending order)
-/// this is byte-identical to [`balance`].
-// lint: allow(panic-reach, unchecked-arith-reach): same sinks as balance — the shared
-// Algorithm-1 loop behind every balancing entry
-pub(crate) fn balance_subset(
+/// local to them: flat RBCAer passes every hotspot, S-RBCAer one tile.
+///
+/// `cluster_of[h]` assigns every hotspot to a content cluster (ignored
+/// when `config.content_aggregation` is false).
+pub(crate) fn balance(
     input: &SlotInput<'_>,
     config: &RbcaerConfig,
     cluster_of: &[usize],
     members: &[usize],
 ) -> BalanceOutcome {
-    let parts = Participants::from_members(input, members.iter().copied());
-    // The sharded planner already fans out at the tile level; a nested
-    // per-under fan-out here would spawn a scoped pool per θ round per
-    // tile — thousands of short-lived threads per slot. The sequential
-    // path is bit-identical by the ccdn-par determinism contract.
-    balance_with_parts(input, config, cluster_of, parts, Threads::Fixed(1))
-}
-
-/// The Algorithm-1 loop over a pre-computed [`Participants`] partition —
-/// the shared core of [`balance`] and [`balance_subset`].
-fn balance_with_parts(
-    input: &SlotInput<'_>,
-    config: &RbcaerConfig,
-    cluster_of: &[usize],
-    parts: Participants,
-    threads: Threads,
-) -> BalanceOutcome {
+    let parts = Participants::new(input, members.iter().copied());
     let max_movable = parts.max_movable();
     let mut phi_s: Vec<u64> = parts.overloaded.iter().map(|&(_, p)| p).collect();
     let mut phi_t: Vec<u64> = parts.under.iter().map(|&(_, p)| p).collect();
@@ -471,13 +412,11 @@ fn balance_with_parts(
 
     if max_movable > 0 {
         // Hoisted out of the θ loop: one arena network and one set of
-        // skeleton buffers rebuilt per round, one under-slot index list
-        // shared by every round's fan-out, and every pair the sweep can
+        // round buffers rebuilt per round, and every pair the sweep can
         // reach, scanned once.
         let mut arena = FlowNetwork::new();
         let mut scratch = RoundScratch::default();
-        let under_ids: Vec<usize> = (0..parts.under.len()).collect();
-        let reach = sweep_candidates(input, config, &parts, &under_ids, threads);
+        let reach = sweep_candidates(input, config, &parts);
         let mut theta = config.theta1_km;
         // Guard against pathological δd ever looping forever.
         let mut iterations = 0;
@@ -496,8 +435,6 @@ fn balance_with_parts(
                 cluster_of,
                 &mut arena,
                 &mut scratch,
-                &under_ids,
-                threads,
             );
             apply_round(&parts, &round, &mut phi_s, &mut phi_t, &mut flows, &mut moved);
             theta += config.delta_km;
@@ -519,8 +456,6 @@ fn balance_with_parts(
                 cluster_of,
                 &mut arena,
                 &mut scratch,
-                &under_ids,
-                threads,
             );
             apply_round(&parts, &round, &mut phi_s, &mut phi_t, &mut flows, &mut moved);
             RESIDUAL_ROUNDS.incr();
@@ -543,22 +478,23 @@ fn sweep_candidates(
     input: &SlotInput<'_>,
     config: &RbcaerConfig,
     parts: &Participants,
-    under_ids: &[usize],
-    threads: Threads,
 ) -> Vec<Vec<(usize, f64)>> {
     let bound = config.theta2_km + SWEEP_SLACK_KM;
-    ccdn_par::par_map(threads, under_ids, |&ti| {
-        let j = parts.under[ti].0;
-        parts
-            .overloaded
-            .iter()
-            .enumerate()
-            .filter_map(|(si, &(i, _))| {
-                let d = input.geometry.distance(HotspotId(i), HotspotId(j));
-                (d < bound).then_some((si, d))
-            })
-            .collect()
-    })
+    parts
+        .under
+        .iter()
+        .map(|&(j, _)| {
+            parts
+                .overloaded
+                .iter()
+                .enumerate()
+                .filter_map(|(si, &(i, _))| {
+                    let d = input.geometry.distance(HotspotId(i), HotspotId(j));
+                    (d < bound).then_some((si, d))
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// One MCMF solve at threshold `theta` over the pairs in `reach` (see
@@ -575,22 +511,20 @@ fn solve_round(
     cluster_of: &[usize],
     arena: &mut FlowNetwork,
     scratch: &mut RoundScratch,
-    under_ids: &[usize],
-    threads: Threads,
 ) -> Vec<((usize, usize), u64)> {
-    // The per-under-hotspot subproblem — this round's live candidates
-    // plus flow-guide grouping — is pure, so it fans out over the worker
-    // pool; the plans are added to the builder sequentially in `ti`
-    // order, which pins node/edge ids (and with them MCMF tie-breaking)
-    // to the sequential construction.
-    let plans: Vec<Vec<EdgePlan>> = ccdn_par::par_map(threads, under_ids, |&ti| {
-        let (j, phi_j) = (parts.under[ti].0, phi_t[ti]);
-        let live = reach[ti].iter().copied().filter(|&(si, d)| phi_s[si] > 0 && d < theta);
+    // Each under-utilized slot's arcs — this round's live candidates plus
+    // flow-guide grouping — planned in `ti` order into the reused list.
+    let mut plans = std::mem::take(&mut scratch.plans);
+    plans.clear();
+    plans.extend(parts.under.iter().zip(phi_t).zip(reach).map(|((&(j, _), &phi_j), reach)| {
+        let live = reach.iter().copied().filter(|&(si, d)| phi_s[si] > 0 && d < theta);
         plan_arcs(config, parts, phi_s, j, phi_j, live, with_guides, cluster_of)
-    });
+    }));
     let mut builder = GraphBuilder::pruned(arena, phi_s, phi_t, &plans, scratch);
-    builder.add_plans(plans);
-    builder.solve(scratch)
+    builder.add_plans(plans.drain(..));
+    let flows = builder.solve(scratch);
+    scratch.plans = plans;
+    flows
 }
 
 /// The arcs of one round into under-utilized hotspot `j` with slack
@@ -845,9 +779,10 @@ mod tests {
             (0..12).map(|k| (if k % 2 == 0 { 0.5 } else { 0.9 }, 0.5, k % 4)).collect();
         let slot = Slot::new(&spots, &requests);
         let input = slot.input();
-        let parts = Participants::from_input(&input);
+        let every: Vec<usize> = (0..spots.len()).collect();
+        let parts = Participants::new(&input, every.iter().copied());
         configs().iter().for_each(|config| {
-            let got = balance(&input, config, &slot.cluster_of);
+            let got = balance(&input, config, &slot.cluster_of, &every);
             assert!(got.moved > 0, "the fixture must move requests");
             assert_eq!(got, reference_balance(&input, config, &slot.cluster_of, &parts));
         });
@@ -869,14 +804,16 @@ mod tests {
             let slot = Slot::new(&spots, &requests);
             let input = slot.input();
             let config = configs()[config_ix];
-            let every = Participants::from_input(&input);
-            let got = balance(&input, &config, &slot.cluster_of);
-            prop_assert_eq!(got, reference_balance(&input, &config, &slot.cluster_of, &every));
-            // The sharded planner's per-tile entry, over an ascending
-            // member subset that `mask` picks.
+            // Every hotspot, as flat RBCAer's one tile holds them.
+            let every: Vec<usize> = (0..spots.len()).collect();
+            let parts = Participants::new(&input, every.iter().copied());
+            let got = balance(&input, &config, &slot.cluster_of, &every);
+            prop_assert_eq!(got, reference_balance(&input, &config, &slot.cluster_of, &parts));
+            // An ascending member subset that `mask` picks, as one
+            // S-RBCAer tile.
             let members: Vec<usize> = (0..spots.len()).filter(|&h| mask >> h & 1 == 1).collect();
-            let parts = Participants::from_members(&input, members.iter().copied());
-            let got = balance_subset(&input, &config, &slot.cluster_of, &members);
+            let parts = Participants::new(&input, members.iter().copied());
+            let got = balance(&input, &config, &slot.cluster_of, &members);
             prop_assert_eq!(got, reference_balance(&input, &config, &slot.cluster_of, &parts));
         }
     }

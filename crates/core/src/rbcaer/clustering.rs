@@ -7,25 +7,18 @@ use ccdn_cluster::cluster_jaccard;
 use ccdn_sim::SlotInput;
 use ccdn_trace::{HotspotId, VideoId};
 
-/// Assigns every hotspot a cluster id (`cluster_of[h]`) by clustering on
+/// Clusters the hotspots in `members` (one tile) on
 /// `Jd(i, j) = 1 − Jaccard(Top-20 % sets)` with the configured linkage and
-/// cut threshold.
+/// cut threshold. Returns one local cluster id per member (`ids[k]` for
+/// `members[k]`, ids `0..count` in order of each cluster's first member)
+/// plus the cluster `count`; the tile pipeline offsets the ids of each
+/// tile itself, so no caller needs an `n`-sized buffer per tile.
 ///
 /// Hotspots with no demand this slot form natural singletons: their
 /// content set is empty, making their Jaccard distance 1 to every
 /// non-empty set (and 0 to other empty sets — idle hotspots cluster
 /// together, harmlessly, since they are never overloaded).
-pub(crate) fn content_clusters(input: &SlotInput<'_>, config: &RbcaerConfig) -> Vec<usize> {
-    let members: Vec<usize> = (0..input.hotspot_count()).collect();
-    content_clusters_subset(input, config, &members).0
-}
-
-/// Clusters only the hotspots in `members` and returns one local cluster
-/// id per member (`ids[k]` for `members[k]`, ids `0..count` in order of
-/// each cluster's first member) plus the cluster `count`. The sharded
-/// planner clusters each tile on its own and offsets the ids itself, so
-/// no caller needs an `n`-sized buffer per subset.
-pub(crate) fn content_clusters_subset(
+pub(crate) fn content_clusters(
     input: &SlotInput<'_>,
     config: &RbcaerConfig,
     members: &[usize],
@@ -105,7 +98,7 @@ mod tests {
         };
         // Use top_fraction = 1.0 so the sets are the full request sets.
         let config = RbcaerConfig { top_fraction: 1.0, ..RbcaerConfig::default() };
-        let clusters = content_clusters(&input, &config);
+        let (clusters, _) = content_clusters(&input, &config, &[0, 1, 2]);
         assert_eq!(clusters.len(), 3);
         assert_eq!(clusters[0], clusters[1]);
         assert_ne!(clusters[0], clusters[2]);
@@ -124,7 +117,7 @@ mod tests {
             cache_capacity: &cache,
             video_count: 200,
         };
-        let clusters = content_clusters(&input, &RbcaerConfig::default());
+        let (clusters, _) = content_clusters(&input, &RbcaerConfig::default(), &[0, 1, 2]);
         assert_eq!(clusters[1], clusters[2], "both idle");
         assert_ne!(clusters[0], clusters[1], "active vs idle");
     }

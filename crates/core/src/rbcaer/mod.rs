@@ -5,6 +5,8 @@ pub(crate) mod clustering;
 pub(crate) mod procedure;
 
 use crate::config::{RbcaerConfig, RobustConfig};
+use crate::sharded;
+use balancing::BalanceOutcome;
 use ccdn_sim::{Scheme, SlotDecision, SlotInput};
 use ccdn_trace::HotspotId;
 use std::collections::BTreeSet;
@@ -25,7 +27,9 @@ use std::collections::BTreeSet;
 ///    (§IV-D).
 ///
 /// The scheme is deterministic; the [`Runner`](ccdn_sim::Runner) validates
-/// every decision against the model constraints (Eqs. 4–7).
+/// every decision against the model constraints (Eqs. 4–7). It is
+/// [`ShardedRbcaer`](crate::ShardedRbcaer)'s pipeline on one tile that
+/// holds every hotspot.
 ///
 /// With [`RbcaerConfig::robustness`] set, the scheduler hardens against
 /// hotspot failures: it plans against availability-discounted service
@@ -82,53 +86,31 @@ impl Rbcaer {
         &self.config
     }
 
-    /// Runs only the balancing stage on one slot — exposed for the Fig. 9
-    /// analysis and the ablation benches.
-    pub fn balance_only(&self, input: &SlotInput<'_>) -> balancing::BalanceOutcome {
-        balancing::balance(input, &self.config, &self.clusters(input))
-    }
-
-    fn clusters(&self, input: &SlotInput<'_>) -> Vec<usize> {
-        if self.config.content_aggregation {
-            clustering::content_clusters(input, &self.config)
-        } else {
-            vec![0; input.hotspot_count()]
-        }
+    /// Runs only the clustering and balancing stages on one slot —
+    /// exposed for the benchmark's per-phase probe and the flow-bound
+    /// tests.
+    pub fn balance_only(&self, input: &SlotInput<'_>) -> BalanceOutcome {
+        self.balance(input).1
     }
 
     /// Runs the full clustering → balancing → Procedure 1 pipeline on one
-    /// slot and returns the decision, without the robustness post-pass.
-    /// Every output satisfies the plan-feasibility invariants of
-    /// [`crate::validate`]; with the `strict-invariants` feature they are
+    /// slot, without the robustness post-pass, and returns the balancing
+    /// outcome with the decision — the pair
+    /// [`crate::validate::check_plan`] consumes, exposed so tests and
+    /// external validators can audit a plan against the flows that
+    /// produced it. With the `strict-invariants` feature the check is
     /// asserted here.
-    pub fn plan(&self, input: &SlotInput<'_>) -> SlotDecision {
-        let clusters = self.clusters(input);
-        self.plan_with_clusters(input, &clusters)
-    }
-
-    /// Like [`Rbcaer::plan`], but also returns the intermediate balancing
-    /// outcome — the pair [`crate::validate::check_plan`] consumes.
-    /// Exposed so tests and external validators can audit a plan against
-    /// the flows that produced it.
-    pub fn plan_parts(&self, input: &SlotInput<'_>) -> (balancing::BalanceOutcome, SlotDecision) {
-        let clusters = self.clusters(input);
-        let outcome = balancing::balance(input, &self.config, &clusters);
-        let decision = procedure::content_aggregation_replication(input, &outcome, &self.config);
+    pub fn plan_parts(&self, input: &SlotInput<'_>) -> (BalanceOutcome, SlotDecision) {
+        let (_, outcome) = self.balance(input);
+        let decision = procedure::run(input, &outcome, &self.config);
         (outcome, decision)
     }
 
-    /// The full pipeline on one (possibly capacity-discounted) input.
-    fn plan_with_clusters(&self, input: &SlotInput<'_>, clusters: &[usize]) -> SlotDecision {
-        let outcome = balancing::balance(input, &self.config, clusters);
-        let decision = procedure::content_aggregation_replication(input, &outcome, &self.config);
-        #[cfg(feature = "strict-invariants")]
-        if let Err(violation) =
-            crate::validate::check_plan(input, &self.config, &outcome, &decision)
-        {
-            // lint: allow(no-panic): strict-invariants deliberately aborts on a violated invariant
-            panic!("strict-invariants: RBCAer plan violates feasibility: {violation}");
-        }
-        decision
+    /// Clusters and balances `input` as one tile that holds every
+    /// hotspot; returns the content clusters with the outcome.
+    fn balance(&self, input: &SlotInput<'_>) -> (Vec<usize>, BalanceOutcome) {
+        let every: Vec<usize> = (0..input.hotspot_count()).collect();
+        sharded::balance_tiles(input, &self.config, &[&every])
     }
 
     /// Pins each hotspot's hottest videos at `robust.redundancy` nearby
@@ -199,35 +181,28 @@ impl Scheme for Rbcaer {
     }
 
     fn schedule(&mut self, input: &SlotInput<'_>) -> SlotDecision {
-        let clusters = self.clusters(input);
-        match self.config.robustness {
-            None => self.plan_with_clusters(input, &clusters),
-            Some(robust) => {
-                // Plan with headroom: capacity the expected failures will
-                // eat is not promised, and a cache reserve keeps room for
-                // the redundant copies.
-                let service: Vec<u64> = input
-                    .service_capacity
-                    .iter()
-                    .map(|&s| (s as f64 * robust.expected_availability).floor() as u64)
-                    .collect();
-                let cache: Vec<u64> = input
-                    .cache_capacity
-                    .iter()
-                    .map(|&c| (c as f64 * (1.0 - robust.cache_reserve)).floor() as u64)
-                    .collect();
-                let planning = SlotInput {
-                    geometry: input.geometry,
-                    demand: input.demand,
-                    service_capacity: &service,
-                    cache_capacity: &cache,
-                    video_count: input.video_count,
-                };
-                let mut decision = self.plan_with_clusters(&planning, &clusters);
-                self.add_redundancy(input, &clusters, &robust, &mut decision);
-                decision
-            }
-        }
+        let Some(robust) = self.config.robustness else {
+            return self.plan_parts(input).1;
+        };
+        // Plan with headroom: capacity the expected failures will eat is
+        // not promised, and a cache reserve keeps room for the redundant
+        // copies. Clustering reads demand only, so the discounted input
+        // clusters as the real one does.
+        let service: Vec<u64> = input
+            .service_capacity
+            .iter()
+            .map(|&s| (s as f64 * robust.expected_availability).floor() as u64)
+            .collect();
+        let cache: Vec<u64> = input
+            .cache_capacity
+            .iter()
+            .map(|&c| (c as f64 * (1.0 - robust.cache_reserve)).floor() as u64)
+            .collect();
+        let planning = SlotInput { service_capacity: &service, cache_capacity: &cache, ..*input };
+        let (clusters, outcome) = self.balance(&planning);
+        let mut decision = procedure::run(&planning, &outcome, &self.config);
+        self.add_redundancy(input, &clusters, &robust, &mut decision);
+        decision
     }
 }
 
@@ -445,8 +420,8 @@ mod tests {
         for budget in [0u64, 50, 5_000] {
             let scheme =
                 Rbcaer::new(RbcaerConfig { replication_budget: Some(budget), ..robust_config() });
-            let clusters = scheme.clusters(&input);
-            let mut decision = scheme.plan_with_clusters(&input, &clusters);
+            let clusters = scheme.balance(&input).0;
+            let mut decision = scheme.plan_parts(&input).1;
             let planned = decision.replica_count();
             scheme.add_redundancy(&input, &clusters, &RobustConfig::default(), &mut decision);
             let added = decision.replica_count() - planned;
@@ -457,8 +432,8 @@ mod tests {
         }
         // With no budget the pass does add copies.
         let scheme = Rbcaer::new(robust_config());
-        let clusters = scheme.clusters(&input);
-        let mut decision = scheme.plan_with_clusters(&input, &clusters);
+        let clusters = scheme.balance(&input).0;
+        let mut decision = scheme.plan_parts(&input).1;
         let planned = decision.replica_count();
         scheme.add_redundancy(&input, &clusters, &RobustConfig::default(), &mut decision);
         assert!(decision.replica_count() > planned, "unbounded redundancy pass added nothing");

@@ -49,8 +49,28 @@ fn efficiency_index(
     eu
 }
 
-/// Executes Procedure 1 and assembles the slot decision.
-pub(crate) fn content_aggregation_replication(
+/// Runs Procedure 1 on the balancing outcome and, with the
+/// `strict-invariants` feature, checks the plan against
+/// [`crate::validate::check_plan`], aborting on a violation. Flat and
+/// sharded RBCAer both turn their flows into a decision here.
+pub(crate) fn run(
+    input: &SlotInput<'_>,
+    balance: &BalanceOutcome,
+    config: &RbcaerConfig,
+) -> SlotDecision {
+    let decision = content_aggregation_replication(input, balance, config);
+    #[cfg(feature = "strict-invariants")]
+    if let Err(violation) = crate::validate::check_plan(input, config, balance, &decision) {
+        // lint: allow(no-panic): strict-invariants deliberately aborts on a violated invariant
+        panic!("strict-invariants: RBCAer plan violates feasibility: {violation}");
+    }
+    decision
+}
+
+/// Executes Procedure 1 and assembles the slot decision. Flow a target
+/// cannot take (no cache room or budget left) is dropped, and its
+/// requests are served locally or by the CDN.
+fn content_aggregation_replication(
     input: &SlotInput<'_>,
     balance: &BalanceOutcome,
     config: &RbcaerConfig,

@@ -1,13 +1,15 @@
-//! **Sharded RBCAer**: metro-scale planning by geo-tile decomposition.
+//! **Sharded RBCAer**: metro-scale planning by geo-tile decomposition,
+//! and the tile pipeline flat RBCAer runs as its one-tile case.
 //!
-//! The flat scheduler solves one MCMF over every overloaded/under-utilized
-//! hotspot pair within `θ₂` — fine at the paper's 5 000-hotspot scale, but
-//! the `Gd` candidate scan alone is `O(|Hs| · |Ht|)` and the clustering
-//! stage's working matrix `O(n²)`. [`ShardedRbcaer`] restores near-linear
-//! plan time by cutting the deployment into square geo-tiles (via
-//! [`ccdn_geo::GridIndex`] cells), solving each tile's Algorithm-1 loop
-//! independently on the worker pool, and stitching the tile plans back
-//! together with a cross-tile *border reconciliation* pass.
+//! One tile holding every hotspot solves one MCMF over every
+//! overloaded/under-utilized hotspot pair within `θ₂` — fine at the
+//! paper's 5 000-hotspot scale, but the `Gd` candidate scan alone is
+//! `O(|Hs| · |Ht|)` and the clustering stage's working matrix `O(n²)`.
+//! [`ShardedRbcaer`] restores near-linear plan time by cutting the
+//! deployment into square geo-tiles (via [`ccdn_geo::GridIndex`] cells),
+//! clustering and balancing each tile independently on the worker pool
+//! ([`balance_tiles`]), and stitching the tile plans back together with a
+//! cross-tile *border reconciliation* pass before Procedure 1.
 //!
 //! Because `θ₂` is ~1.5 km while a tile is several km wide, almost every
 //! admissible balancing arc is tile-local; only hotspots within the border
@@ -27,9 +29,10 @@
 //! Plan bytes are invariant under `CCDN_THREADS`.
 
 use crate::config::RbcaerConfig;
-use crate::rbcaer::{balancing, clustering, procedure};
+use crate::rbcaer::balancing::{self, BalanceOutcome, Participants};
+use crate::rbcaer::{clustering, procedure};
 use crate::ConfigError;
-use ccdn_flow::{FlowNetwork, McmfAlgorithm};
+use ccdn_flow::FlowNetwork;
 use ccdn_geo::{GridIndex, Point};
 use ccdn_obs::Counter;
 use ccdn_par::Threads;
@@ -90,7 +93,9 @@ impl ShardConfig {
 }
 
 /// The sharded scheduler: geo-tiled RBCAer with border reconciliation.
-/// See the [module docs](self) for the design.
+/// Each tile is clustered and balanced on its own, a border pass moves
+/// residual overload across tile edges, and Procedure 1 runs on the
+/// merged flows. With one tile this is flat [`Rbcaer`](crate::Rbcaer).
 ///
 /// # Examples
 ///
@@ -172,68 +177,67 @@ impl Scheme for ShardedRbcaer {
     }
 
     fn schedule(&mut self, input: &SlotInput<'_>) -> SlotDecision {
-        let n = input.hotspot_count();
         let (tile_of, grid) = self.assign_tiles(input);
 
         // Non-empty tiles with their members, ascending in both keys.
         let mut members_of: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (h, &tile) in tile_of.iter().enumerate().take(n) {
+        for (h, &tile) in tile_of.iter().enumerate() {
             members_of.entry(tile).or_default().push(h);
         }
         let tiles: Vec<&[usize]> = members_of.values().map(Vec::as_slice).collect();
+        TILES_COLD.add(tiles.len() as u64);
 
-        // Cluster each tile independently on the pool; cluster ids are
-        // offset sequentially in tile order so the merged assignment is
-        // thread-count invariant.
-        let mut cluster_of = vec![0usize; n];
-        if self.config.content_aggregation {
-            let local: Vec<(Vec<usize>, usize)> =
-                ccdn_par::par_map(Threads::Auto, &tiles, |&members| {
-                    clustering::content_clusters_subset(input, &self.config, members)
-                });
-            let mut next_id = 0usize;
-            for (members, (ids, k)) in tiles.iter().zip(&local) {
-                for (&h, &c) in members.iter().zip(ids) {
-                    cluster_of[h] = next_id + c;
-                }
-                next_id += k;
-            }
-        }
-
-        // Solve every tile on the pool (`par_map` joins in input order, so
-        // the fan-out stays deterministic) and merge sequentially in
-        // ascending tile order.
-        let solved: Vec<balancing::BalanceOutcome> =
-            ccdn_par::par_map(Threads::Auto, &tiles, |&members| {
-                balancing::balance_subset(input, &self.config, &cluster_of, members)
-            });
-
-        let mut outcome = balancing::BalanceOutcome {
-            max_movable: balancing::Participants::from_input(input).max_movable(),
-            ..Default::default()
-        };
-        for tile in solved {
-            TILES_COLD.incr();
-            for (pair, f) in tile.flows {
-                *outcome.flows.entry(pair).or_insert(0) += f;
-                outcome.moved += f;
-            }
-        }
-
+        let (_, mut outcome) = balance_tiles(input, &self.config, &tiles);
         if let Some(grid) = &grid {
             border_reconcile(input, &self.config, &self.shard, grid, &tile_of, &mut outcome);
         }
-
-        let decision = procedure::content_aggregation_replication(input, &outcome, &self.config);
-        #[cfg(feature = "strict-invariants")]
-        if let Err(violation) =
-            crate::validate::check_plan(input, &self.config, &outcome, &decision)
-        {
-            // lint: allow(no-panic): strict-invariants deliberately aborts on a violated invariant
-            panic!("strict-invariants: sharded plan violates feasibility: {violation}");
-        }
-        decision
+        procedure::run(input, &outcome, &self.config)
     }
+}
+
+/// Clusters and balances each tile of `tiles` (ascending hotspot ids) on
+/// its own and merges the flows in tile order; flat RBCAer passes one tile
+/// that holds every hotspot. Returns every hotspot's content cluster (all
+/// 0 without content aggregation) and the merged outcome, whose
+/// `max_movable` is the bound over the whole input.
+///
+/// Tiles fan out over the worker pool (`par_map` joins in input order),
+/// and cluster ids are offset sequentially in tile order, so the result
+/// is thread-count invariant.
+pub(crate) fn balance_tiles(
+    input: &SlotInput<'_>,
+    config: &RbcaerConfig,
+    tiles: &[&[usize]],
+) -> (Vec<usize>, BalanceOutcome) {
+    let n = input.hotspot_count();
+    let mut cluster_of = vec![0usize; n];
+    if config.content_aggregation {
+        let local: Vec<(Vec<usize>, usize)> = ccdn_par::par_map(Threads::Auto, tiles, |&members| {
+            clustering::content_clusters(input, config, members)
+        });
+        let mut next_id = 0usize;
+        for (members, (ids, k)) in tiles.iter().zip(&local) {
+            for (&h, &c) in members.iter().zip(ids) {
+                cluster_of[h] = next_id + c;
+            }
+            next_id += k;
+        }
+    }
+
+    let solved: Vec<BalanceOutcome> = ccdn_par::par_map(Threads::Auto, tiles, |&members| {
+        balancing::balance(input, config, &cluster_of, members)
+    });
+    let mut outcome = BalanceOutcome {
+        max_movable: Participants::new(input, 0..n).max_movable(),
+        ..Default::default()
+    };
+    for tile in solved {
+        for (pair, f) in tile.flows {
+            *outcome.flows.entry(pair).or_insert(0) += f;
+            outcome.moved += f;
+        }
+    }
+    (cluster_of, outcome)
 }
 
 /// Maximum cross-tile partners considered per border hotspot — keeps the
@@ -259,7 +263,7 @@ fn border_reconcile(
     shard: &ShardConfig,
     grid: &GridIndex,
     tile_of: &[usize],
-    outcome: &mut balancing::BalanceOutcome,
+    outcome: &mut BalanceOutcome,
 ) {
     if grid.cell_count() <= 1 || shard.border_km <= 0.0 {
         return;
@@ -267,16 +271,14 @@ fn border_reconcile(
     let n = input.hotspot_count();
 
     // Residual slack after the tile-local flows.
+    let parts = Participants::new(input, 0..n);
     let mut residual_over: Vec<i64> = vec![0; n];
     let mut residual_under: Vec<i64> = vec![0; n];
-    for h in 0..n {
-        let load = input.demand.load(HotspotId(h)) as i64;
-        let cap = input.service_capacity[h] as i64;
-        if load > cap {
-            residual_over[h] = load - cap;
-        } else if load < cap && input.cache_capacity[h] > 0 {
-            residual_under[h] = cap - load;
-        }
+    for &(h, phi) in &parts.overloaded {
+        residual_over[h] = phi as i64;
+    }
+    for &(h, phi) in &parts.under {
+        residual_under[h] = phi as i64;
     }
     for (&(i, j), &f) in &outcome.flows {
         residual_over[i.0] -= f as i64;
@@ -383,7 +385,7 @@ fn border_reconcile(
             net.add_edge(under_node(us), sink, cap, 0.0).expect("valid edge");
         }
         // lint: allow(no-panic): source and sink are the distinct nodes 0 and 1
-        let _ = net.min_cost_max_flow(source, sink, McmfAlgorithm::SspDijkstra).expect("endpoints");
+        let _ = net.min_cost_max_flow(source, sink).expect("endpoints");
 
         for (e, i, j) in pair_edges {
             let f = net.edge_flow(e);

@@ -20,8 +20,10 @@
 //!   places more videos than the budget allows (Procedure 1, §IV-C).
 //!
 //! [`check_plan`] is always available (property tests call it directly);
-//! with the `strict-invariants` feature [`Rbcaer`](crate::Rbcaer) also
-//! runs it on every planned slot and aborts on violation.
+//! with the `strict-invariants` feature Procedure 1 also runs it on every
+//! plan that [`Rbcaer`](crate::Rbcaer) or
+//! [`ShardedRbcaer`](crate::ShardedRbcaer) assembles, and aborts on
+//! violation.
 
 use crate::config::RbcaerConfig;
 use crate::rbcaer::balancing::BalanceOutcome;

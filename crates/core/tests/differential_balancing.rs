@@ -14,7 +14,7 @@
 //! must all pass.
 
 use ccdn_core::{LpBased, LpBasedConfig, Rbcaer, RbcaerConfig};
-use ccdn_flow::{validate, FlowNetwork, McmfAlgorithm};
+use ccdn_flow::{validate, FlowNetwork};
 use ccdn_sim::{HotspotGeometry, Scheme, SlotDemand, SlotInput, Target};
 use ccdn_trace::{HotspotId, Trace, TraceConfig};
 use std::collections::BTreeMap;
@@ -198,9 +198,7 @@ fn rbcaer_moved_equals_certified_gd_maxflow() {
             (inst.geometry.distance(HotspotId(i), HotspotId(j)) < config.theta2_km)
                 .then(|| pi.min(pj))
         });
-        let result = net
-            .min_cost_max_flow(source, sink, McmfAlgorithm::SspDijkstra)
-            .expect("valid endpoints");
+        let result = net.min_cost_max_flow(source, sink).expect("valid endpoints");
 
         // Certify the solve before trusting it as the reference value.
         validate::check_capacity_bounds(&net).expect("capacity certificate");

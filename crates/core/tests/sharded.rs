@@ -35,17 +35,17 @@ fn for_each_slot(trace: &Trace, mut f: impl FnMut(&SlotInput<'_>)) {
 }
 
 /// One tile spanning the whole region is the monolithic planner: every
-/// slot's decision must be byte-identical to [`Rbcaer::plan`].
+/// slot's decision must be byte-identical to flat [`Rbcaer`]'s.
 #[test]
 fn single_tile_cold_matches_flat_rbcaer_exactly() {
     let trace = trace_with_seed(5);
-    let flat = Rbcaer::new(RbcaerConfig::default());
+    let mut flat = Rbcaer::new(RbcaerConfig::default());
     let mut sharded = ShardedRbcaer::new(
         RbcaerConfig::default(),
         ShardConfig { tile_km: 10_000.0, ..ShardConfig::default() },
     );
     for_each_slot(&trace, |input| {
-        assert_eq!(sharded.schedule(input), flat.plan(input));
+        assert_eq!(sharded.schedule(input), flat.schedule(input));
     });
 }
 

@@ -13,15 +13,17 @@
 //!   the achievable `maxflow` bound of Algorithm 1 and as an independent
 //!   oracle in tests;
 //! - [`FlowNetwork::min_cost_max_flow`]: successive shortest paths with
-//!   Dijkstra + Johnson potentials over a binary heap
-//!   ([`McmfAlgorithm::SspDijkstra`], the default), or Klein's cycle
-//!   canceling ([`McmfAlgorithm::CycleCanceling`]), kept as an independent
-//!   oracle for the tests. Both compute identical optima.
+//!   Dijkstra + Johnson potentials over a binary heap, the one solver
+//!   every planner calls;
+//! - [`FlowNetwork::min_cost_max_flow_cycle_canceling`]: Klein's cycle
+//!   canceling, kept only as an independent oracle for the tests. Both
+//!   compute identical optima and carry the same `strict-invariants`
+//!   certificate.
 //!
 //! # Examples
 //!
 //! ```
-//! use ccdn_flow::{FlowNetwork, McmfAlgorithm};
+//! use ccdn_flow::FlowNetwork;
 //!
 //! // Two parallel s→t routes: cheap capacity 1, expensive capacity 1.
 //! let mut net = FlowNetwork::with_nodes(2);
@@ -30,7 +32,7 @@
 //! let cheap = net.add_edge(s, t, 1, 1.0)?;
 //! let pricey = net.add_edge(s, t, 1, 5.0)?;
 //!
-//! let result = net.min_cost_max_flow(s, t, McmfAlgorithm::SspDijkstra)?;
+//! let result = net.min_cost_max_flow(s, t)?;
 //! assert_eq!(result.flow, 2);
 //! assert_eq!(result.cost, 6.0);
 //! assert_eq!(net.edge_flow(cheap), 1);
@@ -46,5 +48,5 @@ mod mcmf;
 mod network;
 pub mod validate;
 
-pub use mcmf::{McmfAlgorithm, McmfResult};
+pub use mcmf::McmfResult;
 pub use network::{EdgeId, EdgeView, FlowError, FlowNetwork};

@@ -10,26 +10,6 @@ static DIJKSTRA_ROUNDS: Counter = Counter::new("flow.mcmf.dijkstra_rounds");
 static CYCLES_CANCELED: Counter = Counter::new("flow.mcmf.cycles_canceled");
 use std::collections::BinaryHeap;
 
-/// Choice of minimum-cost max-flow algorithm.
-///
-/// Both variants compute the same optimum (verified by property tests).
-/// Every planner solves with the default; the other is a test oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum McmfAlgorithm {
-    /// Successive shortest paths with Dijkstra on reduced costs (Johnson
-    /// potentials). Requires non-negative arc costs, which
-    /// [`FlowNetwork::add_edge`] already enforces. The default.
-    #[default]
-    SspDijkstra,
-    /// Klein's cycle-canceling: compute any max flow (Dinic), then cancel
-    /// negative-cost residual cycles until none remain. Slower than
-    /// successive shortest paths, but it reaches the optimum by a
-    /// completely different route — kept as an independent correctness
-    /// oracle for [`SspDijkstra`](Self::SspDijkstra) in the property
-    /// tests.
-    CycleCanceling,
-}
-
 /// Result of a minimum-cost max-flow computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McmfResult {
@@ -63,7 +43,10 @@ impl PartialOrd for HeapEntry {
 }
 
 impl FlowNetwork {
-    /// Computes a **minimum-cost maximum flow** from `source` to `sink`.
+    /// Computes a **minimum-cost maximum flow** from `source` to `sink`
+    /// by successive shortest paths, with Dijkstra on reduced costs
+    /// (Johnson potentials). Dijkstra needs non-negative arc costs, which
+    /// [`FlowNetwork::add_edge`] already enforces.
     ///
     /// Pushes the maximum possible flow while minimizing total cost, which
     /// is exactly what RBCAer needs: move as much excess workload as the
@@ -79,7 +62,7 @@ impl FlowNetwork {
     /// # Examples
     ///
     /// ```
-    /// use ccdn_flow::{FlowNetwork, McmfAlgorithm};
+    /// use ccdn_flow::FlowNetwork;
     ///
     /// // Overloaded hotspot 0 can shed 2 requests to hotspots 1 (1 km
     /// // away, capacity 1) or 2 (3 km away, capacity 5).
@@ -89,7 +72,7 @@ impl FlowNetwork {
     /// net.add_edge(s, b, 5, 3.0)?;
     /// net.add_edge(a, t, 1, 0.0)?;
     /// net.add_edge(b, t, 5, 0.0)?;
-    /// let r = net.min_cost_max_flow(s, t, McmfAlgorithm::default())?;
+    /// let r = net.min_cost_max_flow(s, t)?;
     /// assert_eq!(r.flow, 6);
     /// assert_eq!(r.cost, 1.0 + 5.0 * 3.0);
     /// # Ok::<(), ccdn_flow::FlowError>(())
@@ -98,15 +81,41 @@ impl FlowNetwork {
         &mut self,
         source: usize,
         sink: usize,
-        algorithm: McmfAlgorithm,
+    ) -> Result<McmfResult, FlowError> {
+        self.solve_mcmf(source, sink, |net| Ok(net.mcmf_dijkstra(source, sink)))
+    }
+
+    /// The same optimum as [`FlowNetwork::min_cost_max_flow`] by Klein's
+    /// cycle canceling: any max flow (Dinic), then negative-cost residual
+    /// cycles canceled until none remain. Far slower, but it reaches the
+    /// optimum by a completely different route, so the tests keep it as
+    /// an independent oracle for the successive-shortest-paths solver. No
+    /// planner calls it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`FlowNetwork::min_cost_max_flow`].
+    pub fn min_cost_max_flow_cycle_canceling(
+        &mut self,
+        source: usize,
+        sink: usize,
+    ) -> Result<McmfResult, FlowError> {
+        self.solve_mcmf(source, sink, |net| net.mcmf_cycle_canceling(source, sink))
+    }
+
+    /// The endpoint check, solve counter and span shared by both solvers,
+    /// and with `strict-invariants` the optimality certificate of the
+    /// flow `solve` leaves on the network.
+    fn solve_mcmf(
+        &mut self,
+        source: usize,
+        sink: usize,
+        solve: impl FnOnce(&mut Self) -> Result<McmfResult, FlowError>,
     ) -> Result<McmfResult, FlowError> {
         self.check_endpoints(source, sink)?;
         SOLVES.incr();
         let _span = ccdn_obs::span("flow.mcmf.solve");
-        let result = match algorithm {
-            McmfAlgorithm::SspDijkstra => self.mcmf_dijkstra(source, sink),
-            McmfAlgorithm::CycleCanceling => self.mcmf_cycle_canceling(source, sink)?,
-        };
+        let result = solve(self)?;
         #[cfg(feature = "strict-invariants")]
         if let Err(violation) = crate::validate::check_mcmf_optimal(self, source, sink) {
             // lint: allow(no-panic): strict-invariants deliberately aborts on a violated invariant
@@ -271,15 +280,12 @@ mod tests {
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    /// Solves clones of `net` with the default solver and with the
+    /// Solves clones of `net` with successive shortest paths and with the
     /// cycle-canceling oracle.
     fn both(net: &FlowNetwork, s: usize, t: usize) -> (McmfResult, McmfResult) {
         let mut a = net.clone();
         let mut b = net.clone();
-        (
-            a.min_cost_max_flow(s, t, McmfAlgorithm::SspDijkstra).unwrap(),
-            b.min_cost_max_flow(s, t, McmfAlgorithm::CycleCanceling).unwrap(),
-        )
+        (a.min_cost_max_flow(s, t).unwrap(), b.min_cost_max_flow_cycle_canceling(s, t).unwrap())
     }
 
     #[test]
@@ -305,7 +311,7 @@ mod tests {
         net.add_edge(0, 2, 1, 10.0).unwrap();
         net.add_edge(1, 3, 1, 1.0).unwrap();
         net.add_edge(2, 3, 1, 10.0).unwrap();
-        let r = net.min_cost_max_flow(0, 3, McmfAlgorithm::SspDijkstra).unwrap();
+        let r = net.min_cost_max_flow(0, 3).unwrap();
         assert_eq!(r.flow, 2);
         assert_eq!(r.cost, 22.0);
         // Cheap route saturates first; expensive is used only for extra flow.
@@ -331,7 +337,7 @@ mod tests {
         net2.add_edge(1, 3, 1, 0.0).unwrap();
         net2.add_edge(2, 3, 1, 0.0).unwrap();
         net2.add_edge(3, 4, 1, 0.0).unwrap();
-        let r = net2.min_cost_max_flow(0, 4, McmfAlgorithm::SspDijkstra).unwrap();
+        let r = net2.min_cost_max_flow(0, 4).unwrap();
         assert_eq!(r.flow, 1);
         assert_eq!(r.cost, 1.0);
         let _ = net;
@@ -341,7 +347,7 @@ mod tests {
     fn zero_flow_when_disconnected() {
         let mut net = FlowNetwork::with_nodes(3);
         net.add_edge(0, 1, 5, 1.0).unwrap();
-        let r = net.min_cost_max_flow(0, 2, McmfAlgorithm::SspDijkstra).unwrap();
+        let r = net.min_cost_max_flow(0, 2).unwrap();
         assert_eq!(r, McmfResult { flow: 0, cost: 0.0 });
     }
 
@@ -355,7 +361,7 @@ mod tests {
         net.add_edge(1, 2, 1, 0.0).unwrap();
         net.add_edge(1, 3, 1, 3.0).unwrap();
         net.add_edge(2, 3, 1, 1.0).unwrap();
-        let r = net.min_cost_max_flow(0, 3, McmfAlgorithm::SspDijkstra).unwrap();
+        let r = net.min_cost_max_flow(0, 3).unwrap();
         assert_eq!(r.flow, 2);
         // Optimal: 0→1→2→3 (cost 2) + 0→2 is full... enumerate: best max
         // flow of 2 costs: 0→1→3 (4) + 0→2→3 (3) = 7, or
@@ -366,12 +372,9 @@ mod tests {
     #[test]
     fn endpoints_validated() {
         let mut net = FlowNetwork::with_nodes(2);
-        assert_eq!(
-            net.min_cost_max_flow(1, 1, McmfAlgorithm::SspDijkstra),
-            Err(FlowError::SourceIsSink)
-        );
+        assert_eq!(net.min_cost_max_flow(1, 1), Err(FlowError::SourceIsSink));
         assert!(matches!(
-            net.min_cost_max_flow(0, 7, McmfAlgorithm::CycleCanceling),
+            net.min_cost_max_flow_cycle_canceling(0, 7),
             Err(FlowError::NodeOutOfRange { .. })
         ));
     }
@@ -398,10 +401,9 @@ mod tests {
             let pristine = net.clone();
             for sink in 1..n {
                 net.reset_flow();
-                let reused = net.min_cost_max_flow(0, sink, McmfAlgorithm::SspDijkstra).unwrap();
+                let reused = net.min_cost_max_flow(0, sink).unwrap();
                 let mut fresh = pristine.clone();
-                let expected =
-                    fresh.min_cost_max_flow(0, sink, McmfAlgorithm::SspDijkstra).unwrap();
+                let expected = fresh.min_cost_max_flow(0, sink).unwrap();
                 assert_eq!(reused.flow, expected.flow, "flow diverged at sink {sink}");
                 assert_eq!(
                     reused.cost.to_bits(),
@@ -456,7 +458,7 @@ mod tests {
                     net.add_edge(u, v, rng.gen_range(0..10), rng.gen_range(0.0..5.0)).unwrap();
                 }
             }
-            let r = net.min_cost_max_flow(0, n - 1, McmfAlgorithm::SspDijkstra).unwrap();
+            let r = net.min_cost_max_flow(0, n - 1).unwrap();
             let recomputed: f64 = net.edges().iter().map(|e| e.flow as f64 * e.cost).sum();
             assert!((recomputed - r.cost).abs() < 1e-6);
             // Conservation at interior nodes.
@@ -501,7 +503,7 @@ mod tests {
                     net.add_edge(u, v, c, w).unwrap();
                 }
             }
-            net.min_cost_max_flow(0, 5, McmfAlgorithm::SspDijkstra).unwrap();
+            net.min_cost_max_flow(0, 5).unwrap();
             for e in net.edges() {
                 prop_assert!(e.flow >= 0);
                 prop_assert!(e.flow <= e.capacity);

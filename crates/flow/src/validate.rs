@@ -230,7 +230,9 @@ pub fn check_mcmf_optimal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::McmfAlgorithm;
+    use crate::{FlowError, McmfResult};
+
+    type Solver = fn(&mut FlowNetwork, usize, usize) -> Result<McmfResult, FlowError>;
 
     fn diamond() -> (FlowNetwork, usize, usize) {
         // s → a → t and s → b → t with different costs.
@@ -244,10 +246,14 @@ mod tests {
 
     #[test]
     fn solved_network_passes_all_checks() {
-        for algo in [McmfAlgorithm::SspDijkstra, McmfAlgorithm::CycleCanceling] {
+        let solvers: [(&str, Solver); 2] = [
+            ("successive shortest paths", FlowNetwork::min_cost_max_flow),
+            ("cycle canceling", FlowNetwork::min_cost_max_flow_cycle_canceling),
+        ];
+        for (name, solve) in solvers {
             let (mut net, s, t) = diamond();
-            net.min_cost_max_flow(s, t, algo).unwrap();
-            check_mcmf_optimal(&net, s, t).unwrap_or_else(|v| panic!("{algo:?}: {v}"));
+            solve(&mut net, s, t).unwrap();
+            check_mcmf_optimal(&net, s, t).unwrap_or_else(|v| panic!("{name}: {v}"));
         }
     }
 

@@ -4,8 +4,16 @@
 //! slackness (no negative residual cycle).
 
 use ccdn_flow::validate::check_mcmf_optimal;
-use ccdn_flow::{FlowNetwork, McmfAlgorithm};
+use ccdn_flow::{FlowError, FlowNetwork, McmfResult};
 use proptest::prelude::*;
+
+type Solver = fn(&mut FlowNetwork, usize, usize) -> Result<McmfResult, FlowError>;
+
+/// Successive shortest paths and its cycle-canceling oracle.
+const SOLVERS: [(&str, Solver); 2] = [
+    ("successive shortest paths", FlowNetwork::min_cost_max_flow),
+    ("cycle canceling", FlowNetwork::min_cost_max_flow_cycle_canceling),
+];
 
 /// A random directed network with non-negative costs, plus distinct
 /// source/sink node ids.
@@ -27,12 +35,12 @@ proptest! {
     fn every_algorithm_produces_a_certified_optimum(
         (net, s, t) in network_strategy(),
     ) {
-        for algo in [McmfAlgorithm::SspDijkstra, McmfAlgorithm::CycleCanceling] {
+        for (name, solve) in SOLVERS {
             let mut solved = net.clone();
-            let result = solved.min_cost_max_flow(s, t, algo).expect("valid endpoints");
+            let result = solve(&mut solved, s, t).expect("valid endpoints");
             prop_assert!(result.flow >= 0);
             prop_assert!(result.cost >= -1e-9);
-            check_mcmf_optimal(&solved, s, t).unwrap_or_else(|v| panic!("{algo:?}: {v}"));
+            check_mcmf_optimal(&solved, s, t).unwrap_or_else(|v| panic!("{name}: {v}"));
         }
     }
 
@@ -42,8 +50,8 @@ proptest! {
     ) {
         let mut a = net.clone();
         let mut c = net;
-        let ra = a.min_cost_max_flow(s, t, McmfAlgorithm::SspDijkstra).expect("valid endpoints");
-        let rc = c.min_cost_max_flow(s, t, McmfAlgorithm::CycleCanceling).expect("valid endpoints");
+        let ra = a.min_cost_max_flow(s, t).expect("valid endpoints");
+        let rc = c.min_cost_max_flow_cycle_canceling(s, t).expect("valid endpoints");
         prop_assert_eq!(ra.flow, rc.flow);
         prop_assert!((ra.cost - rc.cost).abs() < 1e-6, "{} vs {}", ra.cost, rc.cost);
     }

@@ -159,7 +159,7 @@ fn duration_ns(d: Duration) -> u64 {
 // ---------------------------------------------------------------------
 
 /// A named monotonic counter, declared `static` at the instrumentation
-/// site. `add` is a no-op unless recording is [enabled](enabled); hot
+/// site. `add` is a no-op unless recording is [enabled]; hot
 /// loops should accumulate into a local `u64` and `add` once.
 ///
 /// ```

@@ -8,8 +8,8 @@
 //! content *before* the slot, then serve what actually arrives. This
 //! module implements that loop:
 //!
-//! 1. a [`PopularityPredictor`](crate::PopularityPredictor) forecasts the
-//!    slot's per-hotspot demand from history;
+//! 1. a [`PopularityPredictor`] forecasts the slot's per-hotspot demand
+//!    from history;
 //! 2. the scheme plans cache placements against the *forecast*;
 //! 3. the slot's real requests are routed greedily against the fixed
 //!    placement (nearest-first, then radius neighbours holding the video,
@@ -37,16 +37,16 @@
 //!
 //! # Chaos plane
 //!
-//! [`OnlineRunner::with_chaos`] attaches a deterministic
-//! [`Injector`](ccdn_chaos::Injector) (usually a seeded
-//! [`FaultPlan`](ccdn_chaos::FaultPlan)) in place of the default one,
-//! which fires no faults, and threads its faults through the loop:
+//! [`OnlineRunner::with_chaos`] attaches a deterministic [`Injector`]
+//! (usually a seeded [`FaultPlan`](ccdn_chaos::FaultPlan)) in place of
+//! the default one, which fires no faults, and threads its faults
+//! through the loop:
 //!
 //! - **crash/restart** — the hotspot serves nothing this slot but keeps
 //!   its cache (no wipe, unlike a `FailureModel` offline transition);
 //! - **partition** — the hotspot serves viewers, but replication pushes
 //!   cannot reach it; blocked pushes are retried with bounded
-//!   exponential [`Backoff`](ccdn_chaos::Backoff) in *simulated* slots;
+//!   exponential [`Backoff`] in *simulated* slots;
 //! - **slow peer** — the hotspot's service capacity is scaled down for
 //!   the slot (the planner does not know);
 //! - **push loss** — a charged push never arrives; retried like a
@@ -519,7 +519,13 @@ impl<'a> OnlineRunner<'a> {
                         cache_capacity: &plan_cache,
                         video_count: self.trace.video_count,
                     };
-                    scheme.schedule(&input).placements
+                    let placements = scheme.schedule(&input).placements;
+                    // The replay and the router index one row per
+                    // hotspot: reject a misshapen plan before either runs.
+                    if placements.len() != n {
+                        return Err(ValidationError::ShapeMismatch);
+                    }
+                    placements
                 }
                 // No forecast yet, or the naive controller applying an
                 // overrun's missing plan as empty: caches flush — the
@@ -1232,6 +1238,33 @@ mod tests {
         }
         assert_eq!(report.failed_over, 0);
         assert_eq!(report.orphaned, 0);
+    }
+
+    /// [`TopLocal`] with its placement rows resized to `n + extra`.
+    struct Misshapen(isize);
+
+    impl Scheme for Misshapen {
+        fn name(&self) -> &'static str {
+            "misshapen"
+        }
+
+        fn schedule(&mut self, input: &SlotInput<'_>) -> SlotDecision {
+            let mut d = TopLocal.schedule(input);
+            d.placements.resize(input.hotspot_count().saturating_add_signed(self.0), Vec::new());
+            d
+        }
+    }
+
+    #[test]
+    fn wrong_placement_row_count_is_a_shape_mismatch() {
+        let t = trace();
+        let runner = OnlineRunner::new(&t);
+        for extra in [1, -1] {
+            let oracle = runner.run_with_oracle(&mut Misshapen(extra));
+            assert_eq!(oracle.unwrap_err(), ValidationError::ShapeMismatch, "extra rows {extra}");
+            let ewma = runner.run(&mut Misshapen(extra), &mut Ewma::new(0.4));
+            assert_eq!(ewma.unwrap_err(), ValidationError::ShapeMismatch, "extra rows {extra}");
+        }
     }
 
     #[test]

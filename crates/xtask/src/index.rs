@@ -513,7 +513,7 @@ fn merge_fields(into: &mut BTreeMap<String, String>, fields: BTreeMap<String, St
     }
 }
 
-/// Public wrapper over [`type_text`] for sibling analyses (the interval
+/// Public wrapper over `type_text` for sibling analyses (the interval
 /// engine normalizes declared types the same way the indexer does).
 pub fn type_text_of(tokens: &[Tok], range: Range<usize>) -> String {
     type_text(tokens, range)

@@ -14,7 +14,7 @@
 //! worker-pool settings 1/2/8 — the solvers are sequential, so the
 //! global thread count must be invisible in every byte.
 
-use ccdn_flow::{FlowNetwork, McmfAlgorithm};
+use ccdn_flow::FlowNetwork;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -296,7 +296,7 @@ proptest! {
             ccdn_par::set_threads(threads);
             let mut csr = template.clone();
             let got = csr
-                .min_cost_max_flow(source, sink, McmfAlgorithm::SspDijkstra)
+                .min_cost_max_flow(source, sink)
                 .expect("valid endpoints");
             prop_assert_eq!(got.flow, want_flow, "flow diverged at {} threads", threads);
             prop_assert_eq!(

@@ -16,8 +16,8 @@
 
 use ccdn_bench::figures::{self, FigureData};
 use ccdn_chaos::{Backoff, ChaosConfig, FaultPlan};
-use ccdn_core::{Rbcaer, RbcaerConfig};
-use ccdn_sim::{ChaosOptions, Ewma, FailureModel, OnlineReport, OnlineRunner};
+use ccdn_core::{Rbcaer, RbcaerConfig, RobustConfig, ShardConfig, ShardedRbcaer};
+use ccdn_sim::{ChaosOptions, Ewma, FailureModel, OnlineReport, OnlineRunner, RunReport, Runner};
 use std::fs;
 use std::path::PathBuf;
 
@@ -98,6 +98,62 @@ fn fig8_matches_golden() {
 #[test]
 fn balance_matches_golden() {
     check(&figures::balance(&figures::golden_config().with_slot_count(1)).csvs);
+}
+
+/// One CSV row per slot of an offline run: the serving split, replicas
+/// and summed access distance.
+fn offline_block(name: &'static str, report: &RunReport) -> FigureData {
+    let rows = report
+        .slots
+        .iter()
+        .map(|s| {
+            let m = &s.metrics;
+            format!(
+                "{},{},{},{},{},{:.6}",
+                s.slot,
+                m.total_requests,
+                m.hotspot_served,
+                m.cdn_served,
+                m.replicas,
+                m.distance_sum_km
+            )
+        })
+        .collect();
+    FigureData {
+        name,
+        header: "slot,requests,hotspot_served,cdn_served,replicas,distance_sum_km",
+        rows,
+    }
+}
+
+/// Pins S-RBCAer's per-slot plans under the default tiling, border pass
+/// included.
+#[test]
+fn sharded_rbcaer_matches_golden() {
+    let trace = figures::golden_config().generate();
+    let runner = Runner::new(&trace);
+    let run = |shard: ShardConfig| {
+        runner
+            .run(&mut ShardedRbcaer::new(RbcaerConfig::default(), shard))
+            .expect("S-RBCAer plans validate")
+    };
+    let sharded = run(ShardConfig::default());
+    let no_border = run(ShardConfig { border_km: 0.0, ..ShardConfig::default() });
+    let block = offline_block("sharded_rbcaer", &sharded);
+    // The fixture must see the border pass change some plan.
+    assert_ne!(block.rows, offline_block("sharded_rbcaer", &no_border).rows);
+    check(&[block]);
+}
+
+/// Pins robust RBCAer: capacity-discounted planning plus the redundancy
+/// pass.
+#[test]
+fn robust_rbcaer_matches_golden() {
+    let trace = figures::golden_config().generate();
+    let config = RbcaerConfig { robustness: Some(RobustConfig::default()), ..Default::default() };
+    let report =
+        Runner::new(&trace).run(&mut Rbcaer::new(config)).expect("robust RBCAer plans validate");
+    check(&[offline_block("robust_rbcaer", &report)]);
 }
 
 /// One CSV row per slot of an online run: serving split, delta
