@@ -11,6 +11,9 @@
 //! - [`Zipf`]: a seeded Zipf sampler — video popularity in the synthetic
 //!   trace substrate follows a Zipf law (the paper invokes the 80/20 Pareto
 //!   rule for video popularity);
+//! - [`GuidedCdf`]: inverse-transform lookups over cumulative weights that
+//!   return exactly `partition_point` but search one guide bucket — the
+//!   Zipf sampler and the trace generator's user pick;
 //! - [`Histogram`], [`Summary`], [`gini`], [`jain_fairness`]: descriptive
 //!   statistics used when reporting load skew.
 //!
@@ -30,9 +33,11 @@
 mod cdf;
 mod correlation;
 mod describe;
+mod guided;
 mod zipf;
 
 pub use cdf::{Cdf, CdfError};
 pub use correlation::{autocorrelation, pearson, rank_average, spearman, CorrelationError};
 pub use describe::{gini, jain_fairness, Histogram, Summary};
+pub use guided::{GuidedCdf, GuidedCdfError};
 pub use zipf::Zipf;

@@ -1,7 +1,8 @@
+use crate::GuidedCdf;
 use rand::Rng;
 
-/// A Zipf(α) distribution over ranks `0..n`, sampled by inverse-CDF binary
-/// search over precomputed cumulative weights.
+/// A Zipf(α) distribution over ranks `0..n`, sampled by an inverse-CDF
+/// [`GuidedCdf`] lookup over precomputed cumulative weights.
 ///
 /// Rank 0 is the most popular item; item `k` has unnormalized weight
 /// `1 / (k + 1)^α`. Video popularity in the synthetic trace substrate uses
@@ -21,7 +22,7 @@ use rand::Rng;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Zipf {
-    cumulative: Vec<f64>,
+    cdf: GuidedCdf,
     exponent: f64,
 }
 
@@ -32,6 +33,8 @@ pub enum ZipfError {
     EmptySupport,
     /// The exponent was negative, NaN, or infinite.
     BadExponent,
+    /// `n` exceeded `u32::MAX`, more ranks than the sampler's guide indexes.
+    SupportTooLarge,
 }
 
 impl std::fmt::Display for ZipfError {
@@ -39,6 +42,7 @@ impl std::fmt::Display for ZipfError {
         match self {
             ZipfError::EmptySupport => write!(f, "zipf support must be non-empty"),
             ZipfError::BadExponent => write!(f, "zipf exponent must be finite and non-negative"),
+            ZipfError::SupportTooLarge => write!(f, "zipf support must be at most u32::MAX"),
         }
     }
 }
@@ -52,7 +56,8 @@ impl Zipf {
     ///
     /// # Errors
     ///
-    /// Returns an error when `n == 0` or `alpha` is negative/non-finite.
+    /// Returns an error when `n == 0`, `n > u32::MAX`, or `alpha` is
+    /// negative/non-finite.
     pub fn new(n: usize, alpha: f64) -> Result<Self, ZipfError> {
         if n == 0 {
             return Err(ZipfError::EmptySupport);
@@ -66,12 +71,15 @@ impl Zipf {
             acc += 1.0 / ((k + 1) as f64).powf(alpha);
             cumulative.push(acc);
         }
-        Ok(Zipf { cumulative, exponent: alpha })
+        // Every weight is finite and positive for rank 0 and non-negative
+        // after it, so only the length can be rejected.
+        let cdf = GuidedCdf::new(cumulative).map_err(|_| ZipfError::SupportTooLarge)?;
+        Ok(Zipf { cdf, exponent: alpha })
     }
 
     /// Number of ranks in the support.
     pub fn support_len(&self) -> usize {
-        self.cumulative.len()
+        self.cdf.cumulative().len()
     }
 
     /// The exponent `α`.
@@ -85,18 +93,16 @@ impl Zipf {
     ///
     /// Panics if `k` is out of range.
     pub fn pmf(&self, k: usize) -> f64 {
-        // lint: allow(no-panic): Zipf::new rejects an empty support, so `cumulative` is non-empty
-        let total = *self.cumulative.last().expect("non-empty support");
-        let prev = if k == 0 { 0.0 } else { self.cumulative[k - 1] };
-        (self.cumulative[k] - prev) / total
+        let cumulative = self.cdf.cumulative();
+        let prev = if k == 0 { 0.0 } else { cumulative[k - 1] };
+        (cumulative[k] - prev) / self.cdf.total()
     }
 
     /// Samples a rank in `0..support_len()`; rank 0 is the most popular.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        // lint: allow(no-panic): Zipf::new rejects an empty support, so `cumulative` is non-empty
-        let total = *self.cumulative.last().expect("non-empty support");
-        let u = rng.gen_range(0.0..total);
-        self.cumulative.partition_point(|&c| c <= u)
+        // A path call: `.sample(..)` would resolve by name alone in
+        // ccdn-analyze's call graph, to every `sample` in the workspace.
+        GuidedCdf::sample(&self.cdf, rng)
     }
 
     /// Smallest number of top ranks whose combined mass reaches `mass`.
@@ -110,9 +116,8 @@ impl Zipf {
     /// Panics if `mass` is outside `[0, 1]`.
     pub fn head_count(&self, mass: f64) -> usize {
         assert!((0.0..=1.0).contains(&mass), "mass must be in [0, 1]");
-        // lint: allow(no-panic): Zipf::new rejects an empty support, so `cumulative` is non-empty
-        let total = *self.cumulative.last().expect("non-empty support");
-        self.cumulative.partition_point(|&c| c < mass * total) + 1
+        let total = self.cdf.total();
+        self.cdf.cumulative().partition_point(|&c| c < mass * total) + 1
     }
 }
 

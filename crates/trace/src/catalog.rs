@@ -88,9 +88,24 @@ impl VideoCatalog {
     /// Samples a video for a request attributed to `cluster` (`None` for
     /// background traffic, which always uses the global popularity).
     pub fn sample<R: Rng + ?Sized>(&self, cluster: Option<usize>, rng: &mut R) -> VideoId {
-        let rank = self.zipf.sample(rng);
+        self.sample_with_locality(cluster.map(|c| (c, self.cluster_locality(c))), rng)
+    }
+
+    /// [`sample`](Self::sample) for a cluster whose
+    /// [`cluster_locality`](Self::cluster_locality) the caller computed
+    /// once, instead of once per request: the same draws and the same
+    /// video.
+    // lint: allow(panic-reach, unchecked-arith-reach): `rank` is a draw of the catalog's own Zipf over `0..count`, the length of `global_perm` and the domain of `permuted_rank`
+    pub(crate) fn sample_with_locality<R: Rng + ?Sized>(
+        &self,
+        cluster: Option<(usize, f64)>,
+        rng: &mut R,
+    ) -> VideoId {
+        // A path call: `.sample(..)` would resolve by name alone in
+        // ccdn-analyze's call graph, to every `sample` in the workspace.
+        let rank = Zipf::sample(&self.zipf, rng);
         match cluster {
-            Some(c) if rng.gen_range(0.0..1.0) < self.cluster_locality(c) => {
+            Some((c, locality)) if rng.gen_range(0.0..1.0) < locality => {
                 // Per-cluster permutation, computed lazily from the seed.
                 // Only the sampled rank is needed, so derive it directly
                 // instead of materializing the full permutation.

@@ -33,6 +33,7 @@
 //! # Ok::<(), ccdn_trace::TraceIoError>(())
 //! ```
 
+use crate::types::bucket_sort;
 use crate::{Hotspot, HotspotId, Request, Trace, UserId, VideoId};
 use ccdn_geo::{Point, Rect, MAX_COORDINATE_KM};
 use std::fmt;
@@ -101,6 +102,26 @@ fn parse_field<T: std::str::FromStr>(
     })
 }
 
+/// Rejects a point outside `region`: the simulator measures the CDN
+/// distance and builds its grid from the region, so a point beyond it is
+/// mis-scored rather than merely far away.
+fn check_in_region(
+    point: Point,
+    region: Rect,
+    what: &str,
+    file: &'static str,
+    line: usize,
+) -> Result<Point, TraceIoError> {
+    if region.contains(point) {
+        return Ok(point);
+    }
+    Err(TraceIoError::Parse {
+        file,
+        line,
+        message: format!("{what} at ({}, {}) lies outside the region {region}", point.x, point.y),
+    })
+}
+
 /// Parses a coordinate field, which must be a finite number of km no
 /// larger in magnitude than [`MAX_COORDINATE_KM`], so that every distance
 /// between two points of the trace is finite.
@@ -156,16 +177,19 @@ impl Trace {
     /// schema). `region`, `video_count`, and `slot_count` are metadata the
     /// CSV does not carry.
     ///
-    /// Requests are re-sorted by timeslot; hotspot ids must be the dense
-    /// range `0..n` (any order in the file), with at least one hotspot.
+    /// Requests are re-sorted by timeslot (stably, by the same bucket sort
+    /// that orders generated traces, so memory is the requests plus one
+    /// counter per slot); hotspot ids must be the dense range `0..n` (any
+    /// order in the file), with at least one hotspot. Every hotspot and
+    /// request must lie inside `region`, its border included.
     ///
     /// # Errors
     ///
     /// I/O errors, per-line parse errors with file/line context (among
     /// them a NaN or infinite coordinate, one beyond
-    /// [`MAX_COORDINATE_KM`] in magnitude, and out-of-range videos or
-    /// timeslots), and structural inconsistencies (no hotspots, non-dense
-    /// hotspot ids).
+    /// [`MAX_COORDINATE_KM`] in magnitude, a point outside `region`, and
+    /// out-of-range videos or timeslots), and structural inconsistencies
+    /// (no hotspots, non-dense hotspot ids).
     pub fn read_csv<H, R>(
         region: Rect,
         video_count: usize,
@@ -191,11 +215,12 @@ impl Trace {
             let id: usize = parse_field(fields.next(), "id", HFILE, lineno)?;
             let x = parse_coordinate(fields.next(), "x_km", HFILE, lineno)?;
             let y = parse_coordinate(fields.next(), "y_km", HFILE, lineno)?;
+            let location = check_in_region(Point::new(x, y), region, "hotspot", HFILE, lineno)?;
             let service: u32 = parse_field(fields.next(), "service_capacity", HFILE, lineno)?;
             let cache: u32 = parse_field(fields.next(), "cache_capacity", HFILE, lineno)?;
             parsed_hotspots.push(Hotspot {
                 id: HotspotId(id),
-                location: Point::new(x, y),
+                location,
                 service_capacity: service,
                 cache_capacity: cache,
             });
@@ -205,7 +230,11 @@ impl Trace {
                 "{HFILE} has no hotspot rows; every request needs a hotspot to aggregate to"
             )));
         }
-        parsed_hotspots.sort_by_key(|h| h.id);
+        // Ids at or past `n` share the last bucket: they sort after every
+        // id below `n`, so the first mismatch below is the one a full sort
+        // by id would show.
+        let n = parsed_hotspots.len();
+        let parsed_hotspots = bucket_sort(vec![parsed_hotspots], n.saturating_add(1), |h| h.id.0);
         for (expect, h) in parsed_hotspots.iter().enumerate() {
             if h.id.0 != expect {
                 return Err(TraceIoError::Inconsistent(format!(
@@ -227,6 +256,7 @@ impl Trace {
             let timeslot: u32 = parse_field(fields.next(), "timeslot", RFILE, lineno)?;
             let x = parse_coordinate(fields.next(), "x_km", RFILE, lineno)?;
             let y = parse_coordinate(fields.next(), "y_km", RFILE, lineno)?;
+            let location = check_in_region(Point::new(x, y), region, "request", RFILE, lineno)?;
             if video as usize >= video_count {
                 return Err(TraceIoError::Parse {
                     file: RFILE,
@@ -245,10 +275,11 @@ impl Trace {
                 user: UserId(user),
                 video: VideoId(video),
                 timeslot,
-                location: Point::new(x, y),
+                location,
             });
         }
-        parsed_requests.sort_by_key(|r| r.timeslot);
+        let parsed_requests =
+            bucket_sort(vec![parsed_requests], slot_count as usize, |r| r.timeslot as usize);
 
         Ok(Trace {
             region,
@@ -506,7 +537,7 @@ mod tests {
             format!("id,x_km,y_km,service_capacity,cache_capacity\n0,{edge},-{edge},5,5\n");
         let requests = format!("user,video,timeslot,x_km,y_km\n1,5,0,-{edge},{edge}\n");
         let trace = Trace::read_csv(
-            ccdn_geo::Rect::paper_eval_region(),
+            Rect::new(Point::new(-edge, -edge), Point::new(edge, edge)),
             10,
             24,
             hotspots.as_bytes(),
@@ -515,6 +546,55 @@ mod tests {
         .unwrap();
         let d = trace.hotspots[0].location.distance(trace.requests[0].location);
         assert!(d.is_finite(), "{d}");
+    }
+
+    #[test]
+    fn points_outside_the_region_are_rejected_with_their_line() {
+        let region = ccdn_geo::Rect::paper_eval_region();
+        let header = "id,x_km,y_km,service_capacity,cache_capacity\n0,1,1,5,5\n";
+        for (what, row) in [("hotspot", "1,1000000,2,5,5"), ("hotspot", "1,2,-0.001,5,5")] {
+            let hotspots = format!("{header}{row}\n");
+            let err = Trace::read_csv(
+                region,
+                10,
+                24,
+                hotspots.as_bytes(),
+                "user,video,timeslot,x_km,y_km\n".as_bytes(),
+            )
+            .unwrap_err();
+            match err {
+                TraceIoError::Parse { file, line, message } => {
+                    assert_eq!((file, line), ("hotspots.csv", 3));
+                    assert!(message.contains(what) && message.contains("outside"), "{message}");
+                }
+                other => panic!("unexpected error {other}"),
+            }
+        }
+        let requests = "user,video,timeslot,x_km,y_km\n1,5,0,1,1\n2,5,0,17.5,1\n";
+        let err =
+            Trace::read_csv(region, 10, 24, header.as_bytes(), requests.as_bytes()).unwrap_err();
+        match err {
+            TraceIoError::Parse { file, line, message } => {
+                assert_eq!((file, line), ("requests.csv", 3));
+                assert!(message.contains("request at (17.5, 1)"), "{message}");
+            }
+            other => panic!("unexpected error {other}"),
+        }
+    }
+
+    #[test]
+    fn points_on_the_region_border_are_accepted() {
+        let hotspots = "id,x_km,y_km,service_capacity,cache_capacity\n0,0,11,5,5\n";
+        let requests = "user,video,timeslot,x_km,y_km\n1,5,0,17,0\n";
+        let trace = Trace::read_csv(
+            ccdn_geo::Rect::paper_eval_region(),
+            10,
+            24,
+            hotspots.as_bytes(),
+            requests.as_bytes(),
+        )
+        .unwrap();
+        assert_eq!(trace.requests[0].location, Point::new(17.0, 0.0));
     }
 
     #[test]

@@ -103,6 +103,52 @@ impl Trace {
     }
 }
 
+/// Stable counting sort of the concatenation of `parts` by `key`: the
+/// items come out by ascending key, equal keys in input order, as a
+/// stable `sort_by_key` over the concatenation orders them. One counting
+/// pass sizes the buckets; the scatter pass then moves every part into
+/// the one output vector and frees the part, so no third full-size buffer
+/// exists. Memory is the items plus one counter per key.
+///
+/// Keys are expected in `0..keys`; a larger key sorts into the last
+/// bucket instead of panicking.
+pub(crate) fn bucket_sort<T: Copy>(
+    parts: Vec<Vec<T>>,
+    keys: usize,
+    key: impl Fn(&T) -> usize,
+) -> Vec<T> {
+    let last = keys.saturating_sub(1);
+    let bucket = |item: &T| key(item).min(last);
+    // `next[k]`: items in buckets below `k`, then, while scattering, the
+    // position the next item of bucket `k` goes to.
+    let mut next = vec![0usize; last.saturating_add(2)];
+    for item in parts.iter().flatten() {
+        if let Some(count) = next.get_mut(bucket(item).saturating_add(1)) {
+            *count = count.saturating_add(1);
+        }
+    }
+    let mut len = 0usize;
+    for start in &mut next {
+        len = len.saturating_add(*start);
+        *start = len;
+    }
+    let Some(&fill) = parts.iter().flatten().next() else {
+        return Vec::new();
+    };
+    let mut sorted = vec![fill; len];
+    for part in parts {
+        for item in part {
+            if let Some(at) = next.get_mut(bucket(&item)) {
+                if let Some(slot) = sorted.get_mut(*at) {
+                    *slot = item;
+                }
+                *at = at.saturating_add(1);
+            }
+        }
+    }
+    sorted
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,6 +202,25 @@ mod tests {
     fn requested_video_count_deduplicates() {
         let t = sample_trace();
         assert_eq!(t.requested_video_count(), 2);
+    }
+
+    #[test]
+    fn bucket_sort_matches_stable_sort_by_key() {
+        let parts: Vec<Vec<(u32, usize)>> = vec![
+            vec![(3, 0), (1, 1), (3, 2)],
+            vec![],
+            vec![(0, 3), (1, 4), (9, 5), (3, 6)],
+            vec![(1, 7)],
+        ];
+        let mut expect: Vec<(u32, usize)> = parts.concat();
+        expect.sort_by_key(|&(k, _)| k);
+        assert_eq!(bucket_sort(parts.clone(), 10, |&(k, _)| k as usize), expect);
+        // Keys past the bound join the last bucket, in input order.
+        let clamped: Vec<usize> =
+            bucket_sort(parts, 4, |&(k, _)| k as usize).iter().map(|&(_, i)| i).collect();
+        assert_eq!(clamped, [3, 1, 4, 7, 0, 2, 5, 6]);
+        assert!(bucket_sort(Vec::<Vec<u8>>::new(), 0, |_| 0).is_empty());
+        assert_eq!(bucket_sort(vec![vec![7u8, 5]], 0, |&b| usize::from(b)), [7, 5]);
     }
 
     #[test]

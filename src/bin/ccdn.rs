@@ -2,17 +2,19 @@
 //!
 //! ```text
 //! ccdn generate --out-dir DIR [--preset eval|measurement|small] [--seed N] [--days N]
-//! ccdn run --hotspots FILE --requests FILE --videos N --slots N [--scheme NAME]
+//! ccdn run --hotspots FILE --requests FILE --videos N --slots N
+//!          [--region X0,Y0,X1,Y1] [--scheme NAME]
 //! ccdn compare [--preset eval|measurement|small] [--seed N]
 //! ```
 //!
-//! `generate` writes a synthetic trace as `hotspots.csv` + `requests.csv`;
+//! `generate` writes a synthetic trace as `hotspots.csv` + `requests.csv`
+//! and prints the metadata `run` needs to read it back;
 //! `run` scores one scheme on a CSV trace (yours or a generated one);
 //! `compare` runs the paper's scheme line-up on a preset and prints the
 //! four evaluation metrics.
 
 use crowdsourced_cdn::core::{LocalRandom, LpBased, LpBasedConfig, Nearest, Rbcaer, RbcaerConfig};
-use crowdsourced_cdn::geo::Rect;
+use crowdsourced_cdn::geo::{Point, Rect, MAX_COORDINATE_KM};
 use crowdsourced_cdn::sim::{Runner, Scheme};
 use crowdsourced_cdn::trace::{Trace, TraceConfig};
 use std::collections::HashMap;
@@ -21,9 +23,12 @@ use std::process::ExitCode;
 const USAGE: &str = "\
 usage:
   ccdn generate --out-dir DIR [--preset eval|measurement|small] [--seed N] [--days N]
-  ccdn run --hotspots FILE --requests FILE --videos N --slots N [--scheme NAME]
+  ccdn run --hotspots FILE --requests FILE --videos N --slots N
+           [--region X0,Y0,X1,Y1] [--scheme NAME]
   ccdn compare [--preset eval|measurement|small] [--seed N]
 
+--region is the deployment rectangle in km (default 0,0,17,11, the paper's);
+`generate` prints the values `run` needs for its trace.
 schemes: rbcaer (default), rbcaer-balance-only, nearest, random, lp";
 
 /// Parsed command line: a subcommand plus `--key value` options.
@@ -86,6 +91,35 @@ fn opt_parse<T: std::str::FromStr>(
     }
 }
 
+/// Parses `--region X0,Y0,X1,Y1`: two opposite corners in km, each
+/// coordinate finite and within [`MAX_COORDINATE_KM`].
+fn parse_region(raw: &str) -> Result<Rect, String> {
+    let bad = || format!("cannot parse --region {raw:?}: expected X0,Y0,X1,Y1 in km");
+    let coords = raw
+        .split(',')
+        .map(|field| field.trim().parse::<f64>().map_err(|_| bad()))
+        .collect::<Result<Vec<f64>, String>>()?;
+    let [x0, y0, x1, y1] = coords[..] else {
+        return Err(bad());
+    };
+    if coords.iter().any(|c| !c.is_finite() || c.abs() > MAX_COORDINATE_KM) {
+        return Err(format!(
+            "--region {raw:?}: coordinates must be finite and within ±{MAX_COORDINATE_KM:e} km"
+        ));
+    }
+    Ok(Rect::new(Point::new(x0, y0), Point::new(x1, y1)))
+}
+
+/// The flags `ccdn run` needs to read `trace` back from its CSV files:
+/// the metadata the CSV does not carry.
+fn run_metadata(trace: &Trace) -> String {
+    let (min, max) = (trace.region.min(), trace.region.max());
+    format!(
+        "--videos {} --slots {} --region {},{},{},{}",
+        trace.video_count, trace.slot_count, min.x, min.y, max.x, max.y
+    )
+}
+
 fn report(trace: &Trace, scheme: &mut dyn Scheme) -> Result<(), String> {
     let runner = Runner::new(trace);
     let report = runner.run(scheme).map_err(|e| format!("invalid decision: {e}"))?;
@@ -101,6 +135,19 @@ fn report(trace: &Trace, scheme: &mut dyn Scheme) -> Result<(), String> {
     Ok(())
 }
 
+/// Generates `config`'s trace and writes it to `dir` as `hotspots.csv`
+/// and `requests.csv`.
+fn write_trace(config: &TraceConfig, dir: &str) -> Result<Trace, String> {
+    let trace = config.try_generate().map_err(|e| e.to_string())?;
+    std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+    let hotspots =
+        std::fs::File::create(format!("{dir}/hotspots.csv")).map_err(|e| e.to_string())?;
+    let requests =
+        std::fs::File::create(format!("{dir}/requests.csv")).map_err(|e| e.to_string())?;
+    trace.write_csv(hotspots, requests).map_err(|e| e.to_string())?;
+    Ok(trace)
+}
+
 fn cmd_generate(args: &Args) -> Result<(), String> {
     let dir: String = opt_parse(args, "out-dir", None)?;
     let mut config = preset(args.options.get("preset").map_or("small", |s| s))?;
@@ -110,22 +157,13 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     if args.options.contains_key("days") {
         config = config.with_days(opt_parse(args, "days", None)?);
     }
-    let trace = config.try_generate().map_err(|e| e.to_string())?;
-    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-    let hotspots =
-        std::fs::File::create(format!("{dir}/hotspots.csv")).map_err(|e| e.to_string())?;
-    let requests =
-        std::fs::File::create(format!("{dir}/requests.csv")).map_err(|e| e.to_string())?;
-    trace.write_csv(hotspots, requests).map_err(|e| e.to_string())?;
+    let trace = write_trace(&config, &dir)?;
     println!(
         "wrote {dir}/hotspots.csv ({} hotspots) and {dir}/requests.csv ({} requests)",
         trace.hotspots.len(),
         trace.requests.len()
     );
-    println!(
-        "metadata for `ccdn run`: --videos {} --slots {}",
-        trace.video_count, trace.slot_count
-    );
+    println!("metadata for `ccdn run`: {}", run_metadata(&trace));
     Ok(())
 }
 
@@ -134,12 +172,16 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let requests_path: String = opt_parse(args, "requests", None)?;
     let videos: usize = opt_parse(args, "videos", None)?;
     let slots: u32 = opt_parse(args, "slots", None)?;
+    let region = args
+        .options
+        .get("region")
+        .map_or(Ok(Rect::paper_eval_region()), |raw| parse_region(raw))?;
     let scheme_name = args.options.get("scheme").map_or("rbcaer", |s| s.as_str());
 
     let hotspots = std::fs::File::open(&hotspots_path).map_err(|e| e.to_string())?;
     let requests = std::fs::File::open(&requests_path).map_err(|e| e.to_string())?;
-    let trace = Trace::read_csv(Rect::paper_eval_region(), videos, slots, hotspots, requests)
-        .map_err(|e| e.to_string())?;
+    let trace =
+        Trace::read_csv(region, videos, slots, hotspots, requests).map_err(|e| e.to_string())?;
     println!(
         "trace: {} hotspots, {} requests, {} videos, {} slots",
         trace.hotspots.len(),
@@ -262,6 +304,42 @@ mod tests {
             "nearest",
         ]))
         .unwrap();
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn region_parses_corners_and_rejects_malformed_values() {
+        let region = parse_region("0,0,40,40").unwrap();
+        assert_eq!((region.min(), region.max()), (Point::new(0.0, 0.0), Point::new(40.0, 40.0)));
+        let swapped = parse_region(" 17 , 11 ,0,0").unwrap();
+        assert_eq!(swapped, Rect::paper_eval_region());
+        for bad in
+            ["", "0,0,17", "0,0,17,11,3", "0,0,x,11", "0,0,inf,11", "0,0,NaN,11", "0,0,1e300,1"]
+        {
+            assert!(parse_region(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    /// A `measurement` trace (40 km × 40 km) reads back only with the
+    /// region `generate` prints: the default paper rectangle rejects its
+    /// first point outside 17 km × 11 km with the line it is on.
+    #[test]
+    fn measurement_trace_roundtrips_with_its_printed_region() {
+        let dir = std::env::temp_dir().join(format!("ccdn-cli-region-{}", std::process::id()));
+        let dir_str = dir.to_str().unwrap().to_string();
+        let trace = write_trace(&preset("measurement").unwrap(), &dir_str).unwrap();
+        let metadata = run_metadata(&trace);
+        assert!(metadata.ends_with("--region 0,0,40,40"), "{metadata}");
+        let hotspots = format!("{dir_str}/hotspots.csv");
+        let requests = format!("{dir_str}/requests.csv");
+        let mut args =
+            argv(&["run", "--hotspots", &hotspots, "--requests", &requests, "--scheme", "nearest"]);
+        let without_region: Vec<String> = metadata.split(' ').take(4).map(str::to_string).collect();
+        let err = run(&[args.clone(), without_region].concat()).unwrap_err();
+        assert!(err.starts_with("hotspots.csv line "), "{err}");
+        assert!(err.contains("outside the region"), "{err}");
+        args.extend(metadata.split(' ').map(str::to_string));
+        run(&args).unwrap();
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -30,6 +30,25 @@ fn config_strategy() -> impl Strategy<Value = TraceConfig> {
     )
 }
 
+/// Traces long enough to span several 4 096-request generation shards,
+/// over one to seven days (weekends included), so the shard merge, the
+/// timeslot bucket sort and the weekend rejection loop are compared
+/// across thread counts. Synthesis alone is cheap, so these run larger
+/// than [`config_strategy`]'s.
+fn synthesis_strategy() -> impl Strategy<Value = TraceConfig> {
+    (2usize..20, 0usize..12_000, 1usize..150, 0u64..1_000, 1u32..25, 1u32..8).prop_map(
+        |(hotspots, requests, videos, seed, slots, days)| {
+            TraceConfig::small_test()
+                .with_hotspot_count(hotspots)
+                .with_request_count(requests)
+                .with_video_count(videos)
+                .with_seed(seed)
+                .with_slot_count(slots)
+                .with_days(days)
+        },
+    )
+}
+
 fn trace_csv_bytes(trace: &Trace) -> (Vec<u8>, Vec<u8>) {
     let mut hotspots = Vec::new();
     let mut requests = Vec::new();
@@ -41,9 +60,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Sharded synthesis: the trace (and hence its CSV encoding) is
-    /// byte-identical for every worker count.
+    /// byte-identical for every worker count, across shard boundaries and
+    /// days.
     #[test]
-    fn trace_bytes_match_across_thread_counts(config in config_strategy()) {
+    fn trace_bytes_match_across_thread_counts(config in synthesis_strategy()) {
         let baseline = config.clone().with_threads(1).generate();
         let baseline_bytes = trace_csv_bytes(&baseline);
         for threads in THREAD_COUNTS {
