@@ -26,7 +26,7 @@
 
 use ccdn_bench::{figures_dir, init_threads, obs_init};
 use ccdn_chaos::{Backoff, ChaosConfig, FaultPlan};
-use ccdn_core::{Nearest, Rbcaer, RbcaerConfig, RobustConfig};
+use ccdn_core::{Nearest, Rbcaer, RbcaerConfig};
 use ccdn_obs::{json_string, Histogram};
 use ccdn_sim::{ChaosOptions, OnlineReport, OnlineRunner, Scheme};
 use ccdn_trace::{Trace, TraceConfig};
@@ -66,10 +66,9 @@ const VARIANTS: [Variant; 4] = [
 fn scheme_for(label: &str) -> Box<dyn Scheme> {
     match label {
         "Nearest" => Box::new(Nearest::new()),
-        "RBCAer(robust)" => Box::new(Rbcaer::new(RbcaerConfig {
-            robustness: Some(RobustConfig::default()),
-            ..RbcaerConfig::default()
-        })),
+        "RBCAer(robust)" => {
+            Box::new(Rbcaer::new(RbcaerConfig { robust: true, ..RbcaerConfig::default() }))
+        }
         // Stock planning for both "RBCAer" and "RBCAer(degraded)": the
         // degraded variant differs only in the serving path.
         _ => Box::new(Rbcaer::new(RbcaerConfig::default())),

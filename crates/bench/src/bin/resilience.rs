@@ -17,7 +17,7 @@
 
 use ccdn_bench::table::{f3, Table};
 use ccdn_bench::{announce_csv, init_threads, obs_init, write_csv};
-use ccdn_core::{Nearest, Rbcaer, RbcaerConfig, RobustConfig};
+use ccdn_core::{Nearest, Rbcaer, RbcaerConfig};
 use ccdn_sim::{FailureModel, OnlineReport, OnlineRunner, Scheme};
 use ccdn_trace::{Trace, TraceConfig};
 
@@ -27,10 +27,7 @@ fn schemes() -> Vec<Box<dyn Scheme>> {
     vec![
         Box::new(Nearest::new()),
         Box::new(Rbcaer::new(RbcaerConfig::default())),
-        Box::new(Rbcaer::new(RbcaerConfig {
-            robustness: Some(RobustConfig::default()),
-            ..RbcaerConfig::default()
-        })),
+        Box::new(Rbcaer::new(RbcaerConfig { robust: true, ..RbcaerConfig::default() })),
     ]
 }
 

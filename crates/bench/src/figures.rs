@@ -14,7 +14,7 @@
 use crate::measurement::{nearest_routing, random_routing, top_content_sets, RoutingLoads};
 use crate::table::{f3, Table};
 use ccdn_cluster::jaccard;
-use ccdn_core::{LocalRandom, LpBased, LpBasedConfig, Nearest, Rbcaer, RbcaerConfig};
+use ccdn_core::{LocalRandom, LpBased, Nearest, Rbcaer, RbcaerConfig};
 use ccdn_sim::{
     served_loads, utilization_fairness, HotspotGeometry, Runner, Scheme, SlotDemand, SlotInput,
     SlotMetrics,
@@ -299,11 +299,11 @@ pub fn fig8(config: &TraceConfig) -> (FigureReport, Vec<(String, Duration)>) {
 
     let mut schemes: Vec<(Box<dyn Scheme>, &str)> = vec![
         (
-            Box::new(LpBased::new(LpBasedConfig { max_pairs: 400, ..LpBasedConfig::default() })),
+            Box::new(LpBased::new(400)),
             "LP relaxation capped at the 400 highest-demand (hotspot,video) pairs",
         ),
         (Box::new(Rbcaer::new(RbcaerConfig::default())), "full instance"),
-        (Box::new(LocalRandom::new(1.5, 42)), "full instance"),
+        (Box::new(LocalRandom::new()), "full instance"),
         (Box::new(Nearest::new()), "full instance"),
     ];
 
@@ -369,7 +369,7 @@ pub fn balance(config: &TraceConfig) -> FigureReport {
     let mut schemes: Vec<Box<dyn Scheme>> = vec![
         Box::new(Rbcaer::new(RbcaerConfig::default())),
         Box::new(Nearest::new()),
-        Box::new(LocalRandom::new(1.5, 42)),
+        Box::new(LocalRandom::new()),
     ];
     let mut table =
         Table::new(&["scheme", "served median", "served p99", "p99/median", "jain utilization"]);

@@ -74,8 +74,8 @@ pub fn jaccard_counts<T: Ord>(a: &[T], b: &[T]) -> (usize, usize) {
 /// `1 − inter / union` with `union = |A| + |B| − inter`: the integers of
 /// [`jaccard_counts`], so the same bits as [`jaccard`], and distance 0
 /// between two empty sets. No second `n²`-sized buffer is allocated.
-// lint: allow(panic-reach, unchecked-arith-reach): set ids index rows and columns of the
-// n × n matrix and are below n by construction; the integer sums add two set lengths
+// lint: allow(panic-reach): set ids index rows and columns of the n × n matrix and are
+// below n by construction
 pub(crate) fn jaccard_distance_rows<T: Ord, S: AsRef<[T]>>(sets: &[S]) -> Vec<f64> {
     let n = sets.len();
     let mut postings: Vec<(&T, usize)> =

@@ -1,12 +1,13 @@
 use ccdn_cluster::Linkage;
+use ccdn_sim::COLLABORATION_RADIUS_KM;
 use std::fmt;
 
 /// A scheduler configuration rejected by validation, carrying a
 /// description of the first problem found.
 ///
-/// Returned by [`RbcaerConfig::validate`], [`RobustConfig::validate`],
-/// and the `try_new` constructors; the panicking `new` constructors
-/// format it into their panic message.
+/// Returned by [`RbcaerConfig::validate`] and the `try_new`
+/// constructors; the panicking `new` constructors format it into their
+/// panic message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError(String);
 
@@ -41,81 +42,6 @@ pub enum GuideCost {
     /// The paper's formula verbatim: `Σ_{i∈H_jk} φ_ij / |H_jk|` (mean
     /// movable capacity, used as a cost).
     PaperLiteral,
-}
-
-/// Failure-aware hardening knobs for the [`Rbcaer`](crate::Rbcaer)
-/// scheduler (`RbcaerConfig::robustness`).
-///
-/// Stock RBCAer plans as if every hotspot will stay up through the slot.
-/// Under churn that is optimistic twice over: balanced flow lands on
-/// hotspots that die mid-slot, and each video typically has a single
-/// in-radius copy, so one failure orphans its whole neighbourhood to the
-/// CDN. The hardened variant:
-///
-/// - **capacity headroom** — plans against service capacities discounted
-///   by `expected_availability`, so the movable capacity `φ` the balancer
-///   relies on survives the expected failures;
-/// - **cache reserve** — holds back a fraction of each cache from the
-///   main placement pass, making room for
-/// - **k-redundant placement** — each hotspot's hottest videos are also
-///   pinned at `redundancy` nearby cluster peers (same content cluster
-///   preferred, ascending distance), so failover routing finds an alive
-///   copy in radius. Bounded by `RbcaerConfig::replication_budget`.
-///
-/// # Examples
-///
-/// ```
-/// use ccdn_core::{RbcaerConfig, RobustConfig};
-///
-/// let config =
-///     RbcaerConfig { robustness: Some(RobustConfig::default()), ..RbcaerConfig::default() };
-/// assert!(config.validate().is_ok());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RobustConfig {
-    /// Expected per-hotspot availability; planning service capacities are
-    /// scaled by this factor. Must be in `(0, 1]` (1.0 disables the
-    /// headroom).
-    pub expected_availability: f64,
-    /// Fraction of each cache withheld from the primary placement pass to
-    /// make room for redundant copies. Must be in `[0, 1)`.
-    pub cache_reserve: f64,
-    /// Nearby peers that should also cache each hot video (the paper-less
-    /// "k" of k-redundancy). Must be at least 1.
-    pub redundancy: usize,
-    /// How many of each hotspot's hottest videos get the redundant
-    /// treatment. Must be at least 1.
-    pub hot_videos: usize,
-}
-
-impl Default for RobustConfig {
-    fn default() -> Self {
-        RobustConfig {
-            expected_availability: 0.85,
-            cache_reserve: 0.2,
-            redundancy: 2,
-            hot_videos: 4,
-        }
-    }
-}
-
-impl RobustConfig {
-    /// Validates the knobs, returning a description of the first problem.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if !(self.expected_availability > 0.0 && self.expected_availability <= 1.0) {
-            return Err(ConfigError::new("expected availability must be in (0, 1]"));
-        }
-        if !(self.cache_reserve.is_finite() && (0.0..1.0).contains(&self.cache_reserve)) {
-            return Err(ConfigError::new("cache reserve must be in [0, 1)"));
-        }
-        if self.redundancy == 0 {
-            return Err(ConfigError::new("redundancy must be at least 1 peer copy"));
-        }
-        if self.hot_videos == 0 {
-            return Err(ConfigError::new("hot video count must be at least 1"));
-        }
-        Ok(())
-    }
 }
 
 /// Configuration for the [`Rbcaer`](crate::Rbcaer) scheduler.
@@ -162,16 +88,17 @@ pub struct RbcaerConfig {
     /// Optional cap `B_peak` on replicas pushed per slot (Procedure 1
     /// line 15). `None` bounds replication only by cache capacities.
     pub replication_budget: Option<u64>,
-    /// Failure-aware hardening ([`RobustConfig`]); `None` is the paper's
-    /// stock scheduler.
-    pub robustness: Option<RobustConfig>,
+    /// Failure-aware hardening: plan with capacity headroom, then pin
+    /// each hotspot's hottest videos at nearby peers (see DESIGN.md).
+    /// `false` is the paper's stock scheduler.
+    pub robust: bool,
 }
 
 impl Default for RbcaerConfig {
     fn default() -> Self {
         RbcaerConfig {
             theta1_km: 0.5,
-            theta2_km: 1.5,
+            theta2_km: COLLABORATION_RADIUS_KM,
             delta_km: 0.5,
             top_fraction: 0.2,
             cluster_threshold: 0.5,
@@ -179,7 +106,7 @@ impl Default for RbcaerConfig {
             guide_cost: GuideCost::default(),
             content_aggregation: true,
             replication_budget: None,
-            robustness: None,
+            robust: false,
         }
     }
 }
@@ -203,9 +130,6 @@ impl RbcaerConfig {
         if !(self.cluster_threshold.is_finite() && (0.0..=1.0).contains(&self.cluster_threshold)) {
             return Err(ConfigError::new("cluster threshold must be in [0, 1]"));
         }
-        if let Some(robustness) = &self.robustness {
-            robustness.validate()?;
-        }
         Ok(())
     }
 }
@@ -226,7 +150,7 @@ mod tests {
         assert_eq!(c.linkage, Linkage::Complete);
         assert!(c.content_aggregation);
         assert_eq!(c.replication_budget, None);
-        assert_eq!(c.robustness, None);
+        assert!(!c.robust);
     }
 
     #[test]
@@ -238,23 +162,5 @@ mod tests {
         assert!(RbcaerConfig { top_fraction: 0.0, ..base }.validate().is_err());
         assert!(RbcaerConfig { cluster_threshold: 1.5, ..base }.validate().is_err());
         assert!(RbcaerConfig { theta2_km: f64::NAN, ..base }.validate().is_err());
-    }
-
-    #[test]
-    fn robustness_validation() {
-        let base = RobustConfig::default();
-        assert!(base.validate().is_ok());
-        assert!(RobustConfig { expected_availability: 0.0, ..base }.validate().is_err());
-        assert!(RobustConfig { expected_availability: 1.5, ..base }.validate().is_err());
-        assert!(RobustConfig { cache_reserve: 1.0, ..base }.validate().is_err());
-        assert!(RobustConfig { cache_reserve: -0.1, ..base }.validate().is_err());
-        assert!(RobustConfig { redundancy: 0, ..base }.validate().is_err());
-        assert!(RobustConfig { hot_videos: 0, ..base }.validate().is_err());
-        // The parent config surfaces nested problems.
-        let bad = RbcaerConfig {
-            robustness: Some(RobustConfig { redundancy: 0, ..base }),
-            ..RbcaerConfig::default()
-        };
-        assert!(bad.validate().is_err());
     }
 }

@@ -64,8 +64,8 @@ mod serving;
 mod sharded;
 pub mod validate;
 
-pub use config::{ConfigError, GuideCost, RbcaerConfig, RobustConfig};
-pub use lp_based::{LpBased, LpBasedConfig};
+pub use config::{ConfigError, GuideCost, RbcaerConfig};
+pub use lp_based::LpBased;
 pub use nearest::Nearest;
 pub use random::LocalRandom;
 pub use rbcaer::balancing::{BalanceOutcome, GdStats};

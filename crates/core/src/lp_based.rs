@@ -1,31 +1,14 @@
 use crate::serving::serve_locally;
 use ccdn_lp::{LpError, LpProblem, Relation};
-use ccdn_sim::{Scheme, SlotDecision, SlotInput, Target};
+use ccdn_sim::{Scheme, SlotDecision, SlotInput, Target, COLLABORATION_RADIUS_KM};
 use ccdn_trace::{HotspotId, VideoId};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Configuration for the [`LpBased`] baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LpBasedConfig {
-    /// Maximum number of `(hotspot, video)` demand pairs handed to the LP;
-    /// the highest-demand pairs are selected and the rest fall back to
-    /// local greedy serving. The paper likewise sampled (10 K requests)
-    /// because the full LP was infeasible to solve.
-    pub max_pairs: usize,
-    /// Maximum redirection candidates per pair (nearest hotspots within
-    /// the radius).
-    pub max_candidates: usize,
-    /// Cooperation radius in km (paper: 1.5 km).
-    pub radius_km: f64,
-    /// Weight `β` of the replication term relative to latency (`α = 1`).
-    pub beta: f64,
-}
-
-impl Default for LpBasedConfig {
-    fn default() -> Self {
-        LpBasedConfig { max_pairs: 120, max_candidates: 4, radius_km: 1.5, beta: 1.0 }
-    }
-}
+/// Maximum redirection candidates per LP pair: the nearest hotspots
+/// within the collaboration radius.
+const MAX_CANDIDATES: usize = 4;
+/// Weight `β` of the replication term relative to latency (`α = 1`).
+const BETA: f64 = 1.0;
 
 /// The **LP-based** baseline of Fig. 8: solve the linear relaxation of the
 /// joint request-redirection / content-placement ILP (problem *U*, §III-B)
@@ -46,38 +29,27 @@ impl Default for LpBasedConfig {
 /// # Examples
 ///
 /// ```
-/// use ccdn_core::{LpBased, LpBasedConfig};
+/// use ccdn_core::LpBased;
 /// use ccdn_sim::Runner;
 /// use ccdn_trace::TraceConfig;
 ///
 /// let trace = TraceConfig::small_test().with_request_count(300).generate();
-/// let mut scheme = LpBased::new(LpBasedConfig { max_pairs: 40, ..LpBasedConfig::default() });
+/// let mut scheme = LpBased::new(40);
 /// let report = Runner::new(&trace).run(&mut scheme).unwrap();
 /// assert_eq!(report.total.sums.total_requests, 300);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LpBased {
-    config: LpBasedConfig,
+    max_pairs: usize,
 }
 
 impl LpBased {
-    /// Creates the scheme.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the radius is negative/non-finite or `beta` is negative.
-    pub fn new(config: LpBasedConfig) -> Self {
-        assert!(
-            config.radius_km.is_finite() && config.radius_km >= 0.0,
-            "radius must be finite and >= 0"
-        );
-        assert!(config.beta.is_finite() && config.beta >= 0.0, "beta must be >= 0");
-        LpBased { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &LpBasedConfig {
-        &self.config
+    /// Creates the scheme. At most `max_pairs` `(hotspot, video)` demand
+    /// pairs go to the LP, the highest-demand ones; the rest fall back
+    /// to local greedy serving. The paper likewise sampled (10 K
+    /// requests) because the full LP was infeasible to solve.
+    pub fn new(max_pairs: usize) -> Self {
+        LpBased { max_pairs }
     }
 
     /// Assembles problem *U*'s relaxation for the selected pairs.
@@ -100,7 +72,7 @@ impl LpBased {
             lp.set_objective_coefficient(cdn_index[p], input.geometry.cdn_distance())?;
         }
         for key in y_keys {
-            lp.set_objective_coefficient(y_index[key], self.config.beta)?;
+            lp.set_objective_coefficient(y_index[key], BETA)?;
         }
         // Coverage: Σ_t x = λ_iv (Eq. 4).
         for (p, &(_, _, count)) in selected.iter().enumerate() {
@@ -171,7 +143,7 @@ impl Scheme for LpBased {
             input.demand.per_video().map(|(h, vd)| (h, vd.video, vd.count)).collect();
         pairs.sort_by(|a, b| b.2.cmp(&a.2).then((a.0, a.1).cmp(&(b.0, b.1))));
         let selected: Vec<(HotspotId, VideoId, u64)> =
-            pairs.iter().take(self.config.max_pairs).copied().collect();
+            pairs.iter().take(self.max_pairs).copied().collect();
         let selected_set: BTreeSet<(HotspotId, VideoId)> =
             selected.iter().map(|&(h, v, _)| (h, v)).collect();
 
@@ -182,14 +154,14 @@ impl Scheme for LpBased {
             .map(|&(i, _, _)| {
                 let mut near: Vec<(f64, HotspotId)> = input
                     .geometry
-                    .within_radius(i, self.config.radius_km)
+                    .within_radius(i, COLLABORATION_RADIUS_KM)
                     .into_iter()
                     .filter(|&j| input.service_capacity[j.0] > 0 && input.cache_capacity[j.0] > 0)
                     .map(|j| (input.geometry.distance(i, j), j))
                     .collect();
                 near.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 let mut c = vec![i];
-                c.extend(near.into_iter().take(self.config.max_candidates).map(|(_, j)| j));
+                c.extend(near.into_iter().take(MAX_CANDIDATES).map(|(_, j)| j));
                 c
             })
             .collect();
@@ -320,7 +292,7 @@ mod tests {
     #[test]
     fn validates_and_covers_all_demand() {
         let trace = small_trace();
-        let mut scheme = LpBased::new(LpBasedConfig { max_pairs: 30, ..LpBasedConfig::default() });
+        let mut scheme = LpBased::new(30);
         let report = Runner::new(&trace).run(&mut scheme).unwrap();
         assert_eq!(report.total.sums.total_requests, trace.requests.len() as u64);
     }
@@ -329,7 +301,7 @@ mod tests {
     fn zero_pairs_degenerates_to_local_greedy() {
         let trace = small_trace();
         let runner = Runner::new(&trace);
-        let mut lp = LpBased::new(LpBasedConfig { max_pairs: 0, ..LpBasedConfig::default() });
+        let mut lp = LpBased::new(0);
         let lp_report = runner.run(&mut lp).unwrap();
         let nearest = runner.run(&mut Nearest::new()).unwrap();
         assert_eq!(lp_report.total, nearest.total);
@@ -339,15 +311,9 @@ mod tests {
     fn is_slower_than_nearest() {
         let trace = small_trace();
         let runner = Runner::new(&trace);
-        let mut lp = LpBased::new(LpBasedConfig { max_pairs: 60, ..LpBasedConfig::default() });
+        let mut lp = LpBased::new(60);
         let lp_report = runner.run(&mut lp).unwrap();
         let nearest_report = runner.run(&mut Nearest::new()).unwrap();
         assert!(lp_report.scheduling_time >= nearest_report.scheduling_time);
-    }
-
-    #[test]
-    #[should_panic(expected = "radius")]
-    fn invalid_radius_panics() {
-        let _ = LpBased::new(LpBasedConfig { radius_km: f64::NAN, ..LpBasedConfig::default() });
     }
 }

@@ -1,4 +1,4 @@
-use ccdn_sim::{Scheme, SlotDecision, SlotInput, Target};
+use ccdn_sim::{Scheme, SlotDecision, SlotInput, Target, COLLABORATION_RADIUS_KM};
 use ccdn_trace::{HotspotId, VideoId};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -12,8 +12,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// hotspot within the radius that caches the video and still has serving
 /// capacity; if none exists it falls through to the CDN server.
 ///
-/// Randomness is seeded and deterministic per scheme instance, so runs
-/// are reproducible.
+/// Every instance draws from the same seeded stream, so runs are
+/// reproducible.
 ///
 /// # Examples
 ///
@@ -23,30 +23,27 @@ use std::collections::{BTreeMap, BTreeSet};
 /// use ccdn_trace::TraceConfig;
 ///
 /// let trace = TraceConfig::small_test().generate();
-/// let report = Runner::new(&trace).run(&mut LocalRandom::new(1.5, 42)).unwrap();
+/// let report = Runner::new(&trace).run(&mut LocalRandom::new()).unwrap();
 /// assert!(report.total.hotspot_serving_ratio() > 0.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LocalRandom {
-    radius_km: f64,
     rng: StdRng,
 }
 
-impl LocalRandom {
-    /// Creates the scheme with the given cooperation radius (the paper
-    /// uses 1.5 km) and RNG seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radius_km` is negative or non-finite.
-    pub fn new(radius_km: f64, seed: u64) -> Self {
-        assert!(radius_km.is_finite() && radius_km >= 0.0, "radius must be finite and >= 0");
-        LocalRandom { radius_km, rng: StdRng::seed_from_u64(seed) }
-    }
+/// Seed of every instance's routing stream.
+const SEED: u64 = 42;
 
-    /// The cooperation radius in km.
-    pub fn radius_km(&self) -> f64 {
-        self.radius_km
+impl LocalRandom {
+    /// Creates the scheme.
+    pub fn new() -> Self {
+        LocalRandom { rng: StdRng::seed_from_u64(SEED) }
+    }
+}
+
+impl Default for LocalRandom {
+    fn default() -> Self {
+        LocalRandom::new()
     }
 }
 
@@ -73,7 +70,7 @@ impl Scheme for LocalRandom {
             for vd in input.demand.videos(hj) {
                 *agg.entry(vd.video).or_insert(0) += vd.count;
             }
-            for i in input.geometry.within_radius(hj, self.radius_km) {
+            for i in input.geometry.within_radius(hj, COLLABORATION_RADIUS_KM) {
                 for vd in input.demand.videos(i) {
                     *agg.entry(vd.video).or_insert(0) += vd.count;
                 }
@@ -94,7 +91,7 @@ impl Scheme for LocalRandom {
             let hi = HotspotId(i);
             // Neighbour list once per source hotspot.
             let mut neighbourhood = vec![hi];
-            neighbourhood.extend(input.geometry.within_radius(hi, self.radius_km));
+            neighbourhood.extend(input.geometry.within_radius(hi, COLLABORATION_RADIUS_KM));
             for vd in input.demand.videos(hi) {
                 let mut holders: Vec<usize> = neighbourhood
                     .iter()
@@ -141,45 +138,15 @@ mod tests {
     #[test]
     fn covers_all_demand_and_validates() {
         let trace = TraceConfig::small_test().generate();
-        let report = Runner::new(&trace).run(&mut LocalRandom::new(1.5, 1)).unwrap();
+        let report = Runner::new(&trace).run(&mut LocalRandom::new()).unwrap();
         assert_eq!(report.total.sums.total_requests, trace.requests.len() as u64);
     }
 
     #[test]
-    fn deterministic_per_seed() {
+    fn deterministic_across_instances() {
         let trace = TraceConfig::small_test().generate();
-        let a = Runner::new(&trace).run(&mut LocalRandom::new(1.5, 9)).unwrap();
-        let b = Runner::new(&trace).run(&mut LocalRandom::new(1.5, 9)).unwrap();
+        let a = Runner::new(&trace).run(&mut LocalRandom::new()).unwrap();
+        let b = Runner::new(&trace).run(&mut LocalRandom::new()).unwrap();
         assert_eq!(a.total, b.total);
-    }
-
-    #[test]
-    fn zero_radius_degenerates_to_nearest_like_behavior() {
-        // With radius 0 the only candidate holder is the hotspot itself.
-        let trace = TraceConfig::small_test().generate();
-        let report = Runner::new(&trace).run(&mut LocalRandom::new(0.0, 3)).unwrap();
-        assert!(report.total.hotspot_serving_ratio() > 0.0);
-    }
-
-    #[test]
-    fn wider_radius_increases_replication() {
-        // The §II-A measurement: permitting distant hotspots raises the
-        // replication cost (+10 % at 1 km, +23 % at 5 km in the paper).
-        let trace =
-            TraceConfig::small_test().with_request_count(5000).with_hotspot_count(40).generate();
-        let narrow = Runner::new(&trace).run(&mut LocalRandom::new(0.5, 3)).unwrap();
-        let wide = Runner::new(&trace).run(&mut LocalRandom::new(5.0, 3)).unwrap();
-        assert!(
-            wide.total.replication_cost() >= narrow.total.replication_cost(),
-            "wide {} < narrow {}",
-            wide.total.replication_cost(),
-            narrow.total.replication_cost()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "radius")]
-    fn negative_radius_panics() {
-        let _ = LocalRandom::new(-1.0, 0);
     }
 }

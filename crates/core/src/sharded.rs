@@ -1,5 +1,6 @@
 //! **Sharded RBCAer**: metro-scale planning by geo-tile decomposition,
-//! and the tile pipeline flat RBCAer runs as its one-tile case.
+//! and [`plan`], the one planning body flat RBCAer runs as its one-tile
+//! case.
 //!
 //! One tile holding every hotspot solves one MCMF over every
 //! overloaded/under-utilized hotspot pair within `θ₂` — fine at the
@@ -38,7 +39,7 @@ use ccdn_obs::Counter;
 use ccdn_par::Threads;
 use ccdn_sim::{Scheme, SlotDecision, SlotInput};
 use ccdn_trace::HotspotId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Tiles solved through the full θ-sweep.
 static TILES_COLD: Counter = Counter::new("core.sharded.tiles_cold");
@@ -153,22 +154,6 @@ impl ShardedRbcaer {
     pub fn shard_config(&self) -> &ShardConfig {
         &self.shard
     }
-
-    /// Tile id per hotspot plus the tiling grid itself. Falls back to one
-    /// tile covering everything when the region degenerates below a single
-    /// cell (`try_build` rejecting the geometry).
-    fn assign_tiles(&self, input: &SlotInput<'_>) -> (Vec<usize>, Option<GridIndex>) {
-        let n = input.hotspot_count();
-        let region = input.geometry.region();
-        match GridIndex::try_build(region, self.shard.tile_km, std::iter::empty()) {
-            Ok(grid) => {
-                let tile_of: Vec<usize> =
-                    (0..n).map(|h| grid.cell_of(input.geometry.location(HotspotId(h)))).collect();
-                (tile_of, Some(grid))
-            }
-            Err(_) => (vec![0; n], None),
-        }
-    }
 }
 
 impl Scheme for ShardedRbcaer {
@@ -177,21 +162,142 @@ impl Scheme for ShardedRbcaer {
     }
 
     fn schedule(&mut self, input: &SlotInput<'_>) -> SlotDecision {
-        let (tile_of, grid) = self.assign_tiles(input);
+        plan(input, &self.config, Some(&self.shard)).1
+    }
+}
 
-        // Non-empty tiles with their members, ascending in both keys.
-        let mut members_of: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (h, &tile) in tile_of.iter().enumerate() {
-            members_of.entry(tile).or_default().push(h);
+/// Robust planning: expected per-hotspot availability. Planning service
+/// capacities are scaled by it, so the capacity the balancer promises
+/// survives the expected failures.
+const EXPECTED_AVAILABILITY: f64 = 0.85;
+/// Robust planning: share of each cache withheld from Procedure 1 to
+/// make room for the redundant copies.
+const CACHE_RESERVE: f64 = 0.2;
+/// Robust planning: nearby peers that should also cache each hot video
+/// (the "k" of k-redundancy).
+const REDUNDANCY: usize = 2;
+/// Robust planning: how many of each hotspot's hottest videos get
+/// redundant copies.
+const HOT_VIDEOS: usize = 4;
+
+/// The one RBCAer planning body. [`Rbcaer`](crate::Rbcaer) passes no
+/// `shard` and plans one tile that holds every hotspot;
+/// [`ShardedRbcaer`] passes its tiling. The steps, in order:
+///
+/// 1. robust planning only: capacity headroom, a planning input whose
+///    service capacities are discounted by [`EXPECTED_AVAILABILITY`] and
+///    whose caches keep [`CACHE_RESERVE`] back;
+/// 2. tiling: one tile per non-empty grid cell, or one tile holding
+///    every hotspot when flat or when the region is smaller than a cell;
+/// 3. [`balance_tiles`];
+/// 4. the border pass, when tiled;
+/// 5. Procedure 1;
+/// 6. robust planning only: k-redundancy on the real input.
+///
+/// Returns the balancing outcome with the decision.
+pub(crate) fn plan(
+    input: &SlotInput<'_>,
+    config: &RbcaerConfig,
+    shard: Option<&ShardConfig>,
+) -> (BalanceOutcome, SlotDecision) {
+    // Clustering reads demand only, so the discounted input clusters as
+    // the real one does.
+    let headroom = config.robust.then(|| {
+        let scaled = |caps: &[u64], factor: f64| -> Vec<u64> {
+            caps.iter().map(|&c| (c as f64 * factor).floor() as u64).collect()
+        };
+        (
+            scaled(input.service_capacity, EXPECTED_AVAILABILITY),
+            scaled(input.cache_capacity, 1.0 - CACHE_RESERVE),
+        )
+    });
+    let planning = match &headroom {
+        Some((service, cache)) => {
+            SlotInput { service_capacity: service, cache_capacity: cache, ..*input }
         }
-        let tiles: Vec<&[usize]> = members_of.values().map(Vec::as_slice).collect();
+        None => SlotInput { ..*input },
+    };
+
+    let n = input.hotspot_count();
+    let grid = shard.and_then(|s| {
+        GridIndex::try_build(input.geometry.region(), s.tile_km, std::iter::empty()).ok()
+    });
+    let tile_of: Vec<usize> = match &grid {
+        Some(grid) => (0..n).map(|h| grid.cell_of(input.geometry.location(HotspotId(h)))).collect(),
+        None => vec![0; n],
+    };
+    // Non-empty tiles with their members, ascending in both keys.
+    let mut members_of: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for (h, &tile) in tile_of.iter().enumerate() {
+        members_of.entry(tile).or_default().push(h);
+    }
+    let tiles: Vec<Vec<usize>> = members_of.into_values().collect();
+    if shard.is_some() {
         TILES_COLD.add(tiles.len() as u64);
+    }
 
-        let (_, mut outcome) = balance_tiles(input, &self.config, &tiles);
-        if let Some(grid) = &grid {
-            border_reconcile(input, &self.config, &self.shard, grid, &tile_of, &mut outcome);
+    let (clusters, mut outcome) = balance_tiles(&planning, config, &tiles);
+    if let (Some(shard), Some(grid)) = (shard, &grid) {
+        border_reconcile(&planning, config, shard, grid, &tile_of, &mut outcome);
+    }
+    let mut decision = procedure::run(&planning, &outcome, config);
+    if config.robust {
+        add_redundancy(input, config, &clusters, &mut decision);
+    }
+    (outcome, decision)
+}
+
+/// Pins each hotspot's [`HOT_VIDEOS`] hottest videos at [`REDUNDANCY`]
+/// nearby peers — same content cluster preferred, ascending distance —
+/// using the cache space the reserve held back, within the remaining
+/// replication budget.
+fn add_redundancy(
+    input: &SlotInput<'_>,
+    config: &RbcaerConfig,
+    clusters: &[usize],
+    decision: &mut SlotDecision,
+) {
+    let n = input.hotspot_count();
+    let mut budget = config.replication_budget.map(|b| b.saturating_sub(decision.replica_count()));
+    let mut cached: Vec<BTreeSet<_>> =
+        decision.placements.iter().map(|p| p.iter().copied().collect()).collect();
+    let mut spare: Vec<u64> =
+        (0..n).map(|h| input.cache_capacity[h].saturating_sub(cached[h].len() as u64)).collect();
+
+    for h in 0..n {
+        let hid = HotspotId(h);
+        // Candidate peers: cluster mates first, each group by distance.
+        let mut peers: Vec<(bool, f64, usize)> = input
+            .geometry
+            .within_radius(hid, config.theta2_km)
+            .into_iter()
+            .map(|j| (clusters[j.0] != clusters[h], input.geometry.distance(hid, j), j.0))
+            .collect();
+        peers.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
+
+        let mut vids: Vec<_> = input.demand.videos(hid).to_vec();
+        vids.sort_by(|a, b| b.count.cmp(&a.count).then(a.video.cmp(&b.video)));
+        for vd in vids.into_iter().take(HOT_VIDEOS) {
+            let mut copies =
+                peers.iter().filter(|&&(_, _, j)| cached[j].contains(&vd.video)).count();
+            for &(_, _, j) in &peers {
+                if copies >= REDUNDANCY {
+                    break;
+                }
+                if budget == Some(0) {
+                    return;
+                }
+                if spare[j] > 0 && !cached[j].contains(&vd.video) {
+                    decision.place(HotspotId(j), vd.video);
+                    cached[j].insert(vd.video);
+                    spare[j] -= 1;
+                    copies += 1;
+                    if let Some(b) = &mut budget {
+                        *b -= 1;
+                    }
+                }
+            }
         }
-        procedure::run(input, &outcome, &self.config)
     }
 }
 
@@ -207,12 +313,12 @@ impl Scheme for ShardedRbcaer {
 pub(crate) fn balance_tiles(
     input: &SlotInput<'_>,
     config: &RbcaerConfig,
-    tiles: &[&[usize]],
+    tiles: &[Vec<usize>],
 ) -> (Vec<usize>, BalanceOutcome) {
     let n = input.hotspot_count();
     let mut cluster_of = vec![0usize; n];
     if config.content_aggregation {
-        let local: Vec<(Vec<usize>, usize)> = ccdn_par::par_map(Threads::Auto, tiles, |&members| {
+        let local: Vec<(Vec<usize>, usize)> = ccdn_par::par_map(Threads::Auto, tiles, |members| {
             clustering::content_clusters(input, config, members)
         });
         let mut next_id = 0usize;
@@ -224,7 +330,7 @@ pub(crate) fn balance_tiles(
         }
     }
 
-    let solved: Vec<BalanceOutcome> = ccdn_par::par_map(Threads::Auto, tiles, |&members| {
+    let solved: Vec<BalanceOutcome> = ccdn_par::par_map(Threads::Auto, tiles, |members| {
         balancing::balance(input, config, &cluster_of, members)
     });
     let mut outcome = BalanceOutcome {
@@ -418,4 +524,102 @@ fn border_distance(grid: &GridIndex, p: Point) -> f64 {
         (coord - (origin + k * grid.cell_km())).abs()
     };
     axis(p.x, min.x, grid.cols()).min(axis(p.y, min.y, grid.rows()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Rbcaer;
+    use ccdn_sim::{HotspotGeometry, SlotDemand};
+    use ccdn_trace::TraceConfig;
+
+    /// Runs `f` on slot 20 of a small 40-hotspot trace.
+    fn with_busy_slot(f: impl FnOnce(&SlotInput<'_>)) {
+        let trace = TraceConfig::small_test()
+            .with_hotspot_count(40)
+            .with_request_count(8_000)
+            .with_video_count(500)
+            .with_seed(11)
+            .generate();
+        let geometry = HotspotGeometry::new(trace.region, &trace.hotspots);
+        let demand = SlotDemand::aggregate(trace.slot_requests(20), &geometry);
+        let service: Vec<u64> =
+            trace.hotspots.iter().map(|h| u64::from(h.service_capacity)).collect();
+        let cache: Vec<u64> = trace.hotspots.iter().map(|h| u64::from(h.cache_capacity)).collect();
+        f(&SlotInput {
+            geometry: &geometry,
+            demand: &demand,
+            service_capacity: &service,
+            cache_capacity: &cache,
+            video_count: trace.video_count,
+        });
+    }
+
+    fn robust_config() -> RbcaerConfig {
+        RbcaerConfig { robust: true, ..RbcaerConfig::default() }
+    }
+
+    #[test]
+    fn redundant_copies_exist_for_hot_videos() {
+        with_busy_slot(|input| {
+            let stock = Rbcaer::new(RbcaerConfig::default()).schedule(input);
+            let hardened = Rbcaer::new(robust_config()).schedule(input);
+
+            // Count, over each hotspot's hottest videos, the in-radius peer
+            // copies available to failover routing.
+            let coverage = |d: &SlotDecision| -> usize {
+                let cached: Vec<BTreeSet<_>> =
+                    d.placements.iter().map(|p| p.iter().copied().collect()).collect();
+                let mut satisfied = 0;
+                for h in 0..input.hotspot_count() {
+                    let hid = HotspotId(h);
+                    let peers = input.geometry.within_radius(hid, 1.5);
+                    let mut vids: Vec<_> = input.demand.videos(hid).to_vec();
+                    vids.sort_by(|a, b| b.count.cmp(&a.count).then(a.video.cmp(&b.video)));
+                    for vd in vids.into_iter().take(HOT_VIDEOS) {
+                        let copies =
+                            peers.iter().filter(|j| cached[j.0].contains(&vd.video)).count();
+                        if copies >= REDUNDANCY {
+                            satisfied += 1;
+                        }
+                    }
+                }
+                satisfied
+            };
+            assert!(
+                coverage(&hardened) > coverage(&stock),
+                "redundancy pass added no peer copies: {} vs {}",
+                coverage(&hardened),
+                coverage(&stock)
+            );
+        });
+    }
+
+    #[test]
+    fn redundancy_respects_replication_budget() {
+        with_busy_slot(|input| {
+            let one_tile = [(0..input.hotspot_count()).collect::<Vec<usize>>()];
+            // Copies the redundancy pass adds to the stock plan of `config`.
+            let added = |config: &RbcaerConfig| -> (u64, u64) {
+                let clusters = balance_tiles(input, config, &one_tile).0;
+                let mut decision = Rbcaer::new(*config).plan_parts(input).1;
+                let planned = decision.replica_count();
+                add_redundancy(input, config, &clusters, &mut decision);
+                (planned, decision.replica_count() - planned)
+            };
+            // The budget bounds discretionary placements (Procedure 1 line
+            // 15); the redundancy pass must spend only what the plan left
+            // over.
+            for budget in [0u64, 50, 5_000] {
+                let config = RbcaerConfig { replication_budget: Some(budget), ..robust_config() };
+                let (planned, added) = added(&config);
+                assert!(
+                    added <= budget.saturating_sub(planned),
+                    "budget {budget}: plan spent {planned}, redundancy added {added}"
+                );
+            }
+            // With no budget the pass does add copies.
+            assert!(added(&robust_config()).1 > 0, "unbounded redundancy pass added nothing");
+        });
+    }
 }

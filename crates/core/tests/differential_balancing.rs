@@ -13,7 +13,7 @@
 //! as a max-flow instance whose capacity/conservation/maximality checks
 //! must all pass.
 
-use ccdn_core::{LpBased, LpBasedConfig, Rbcaer, RbcaerConfig};
+use ccdn_core::{LpBased, Rbcaer, RbcaerConfig};
 use ccdn_flow::{validate, FlowNetwork};
 use ccdn_sim::{HotspotGeometry, Scheme, SlotDemand, SlotInput, Target};
 use ccdn_trace::{HotspotId, Trace, TraceConfig};
@@ -171,7 +171,7 @@ fn rbcaer_moves_at_least_the_projected_lp_flow() {
         let outcome = rbcaer.balance_only(&inst.input());
         assert!(outcome.moved <= outcome.max_movable, "seed {seed}: moved exceeds bound");
 
-        let mut lp = LpBased::new(LpBasedConfig::default());
+        let mut lp = LpBased::new(120);
         let decision = lp.schedule(&inst.input());
         let (_, lp_projected) = project_redirections(&inst, &decision, config.theta2_km);
 
@@ -219,7 +219,7 @@ fn lp_projection_is_a_certified_feasible_flow() {
         let trace = single_slot_trace(seed);
         let inst = Instance::build(&trace);
 
-        let mut lp = LpBased::new(LpBasedConfig::default());
+        let mut lp = LpBased::new(120);
         let decision = lp.schedule(&inst.input());
         let (projected, total) = project_redirections(&inst, &decision, config.theta2_km);
 

@@ -70,7 +70,7 @@ proptest! {
     fn baselines_are_always_valid(trace in trace_strategy()) {
         let runner = Runner::new(&trace);
         runner.run(&mut Nearest::new()).expect("nearest validates");
-        runner.run(&mut LocalRandom::new(1.5, 3)).expect("random validates");
+        runner.run(&mut LocalRandom::new()).expect("random validates");
     }
 
     #[test]

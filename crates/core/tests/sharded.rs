@@ -35,18 +35,19 @@ fn for_each_slot(trace: &Trace, mut f: impl FnMut(&SlotInput<'_>)) {
 }
 
 /// One tile spanning the whole region is the monolithic planner: every
-/// slot's decision must be byte-identical to flat [`Rbcaer`]'s.
+/// slot's decision must be byte-identical to flat [`Rbcaer`]'s, stock and
+/// robust alike.
 #[test]
 fn single_tile_cold_matches_flat_rbcaer_exactly() {
     let trace = trace_with_seed(5);
-    let mut flat = Rbcaer::new(RbcaerConfig::default());
-    let mut sharded = ShardedRbcaer::new(
-        RbcaerConfig::default(),
-        ShardConfig { tile_km: 10_000.0, ..ShardConfig::default() },
-    );
-    for_each_slot(&trace, |input| {
-        assert_eq!(sharded.schedule(input), flat.schedule(input));
-    });
+    for config in [RbcaerConfig::default(), RbcaerConfig { robust: true, ..Default::default() }] {
+        let mut flat = Rbcaer::new(config);
+        let mut sharded =
+            ShardedRbcaer::new(config, ShardConfig { tile_km: 10_000.0, ..ShardConfig::default() });
+        for_each_slot(&trace, |input| {
+            assert_eq!(sharded.schedule(input), flat.schedule(input), "{}", flat.name());
+        });
+    }
 }
 
 /// Real tiling (several tiles across the paper region) stays close to the

@@ -24,18 +24,8 @@
 //!
 //! Recording is off by default and every probe is a cheap early-return.
 //! It switches on when the `CCDN_OBS` environment variable is set (its
-//! value is the default export path, see [`ObsReport::export_env`]) or
-//! explicitly via [`set_enabled`], which always wins over the
-//! environment.
-//!
-//! # Worker shards
-//!
-//! Code running inside `ccdn_par::par_map` closures records into a local
-//! [`ObsShard`] returned with the item result; the caller folds shards
-//! into the global registry with [`merge_shards`] **in slot order**.
-//! Totals are order-independent today (adds commute), but the fixed
-//! order keeps the merge deterministic so any future order-sensitive
-//! statistic (first/last, min/max timestamps) stays well-defined.
+//! value is the default export path, see [`env_path`]) or explicitly via
+//! [`set_enabled`], which always wins over the environment.
 //!
 //! # Examples
 //!
@@ -197,15 +187,6 @@ impl Counter {
     }
 }
 
-/// One-off counter add without a `static` declaration; pays a registry
-/// lock per call, so keep it out of hot loops.
-pub fn counter_add(name: &'static str, n: u64) {
-    if n == 0 || !enabled() {
-        return;
-    }
-    counter_cell(name).fetch_add(n, Ordering::Relaxed);
-}
-
 // ---------------------------------------------------------------------
 // Histograms
 // ---------------------------------------------------------------------
@@ -321,76 +302,6 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let watch = Stopwatch::start();
     let result = f();
     (result, watch.elapsed())
-}
-
-// ---------------------------------------------------------------------
-// Worker shards
-// ---------------------------------------------------------------------
-
-/// A local, single-threaded slice of the registry for code running
-/// inside `ccdn_par` workers: record into the shard, return it with the
-/// item result, and let the caller fold shards back with
-/// [`merge_shards`] in slot order.
-#[derive(Debug, Clone, Default)]
-pub struct ObsShard {
-    counters: BTreeMap<&'static str, u64>,
-    spans: BTreeMap<&'static str, (u64, u64)>,
-    enabled: bool,
-}
-
-impl ObsShard {
-    /// A shard that records iff the process-wide switch is on at
-    /// construction time.
-    pub fn new() -> Self {
-        ObsShard { enabled: enabled(), ..ObsShard::default() }
-    }
-
-    /// Adds `n` to the shard-local counter `name`.
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        if !self.enabled || n == 0 {
-            return;
-        }
-        *self.counters.entry(name).or_insert(0) += n;
-    }
-
-    /// Runs `f`, recording a shard-local span under `name` (skipping the
-    /// clock entirely while disabled).
-    pub fn timed<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R {
-        if !self.enabled {
-            return f();
-        }
-        let (result, elapsed) = timed(f);
-        let entry = self.spans.entry(name).or_insert((0, 0));
-        entry.0 += 1;
-        entry.1 = entry.1.saturating_add(duration_ns(elapsed));
-        result
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.spans.is_empty()
-    }
-}
-
-/// Folds worker shards into the global registry **in iteration order**
-/// — callers pass shards in slot order, mirroring `ccdn_par`'s
-/// ordered join, so the merge (and any future order-sensitive
-/// statistic) is deterministic.
-pub fn merge_shards<I: IntoIterator<Item = ObsShard>>(shards: I) {
-    for shard in shards {
-        for (name, n) in shard.counters {
-            if n > 0 {
-                counter_cell(name).fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        for (name, (count, ns)) in shard.spans {
-            if count > 0 {
-                let cell = span_cell(name);
-                cell.count.fetch_add(count, Ordering::Relaxed);
-                cell.total_ns.fetch_add(ns, Ordering::Relaxed);
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -572,25 +483,6 @@ impl ObsReport {
             std::fs::write(path, line + "\n")
         }
     }
-
-    /// Captures the registry and writes it to the `CCDN_OBS` path, if
-    /// one is configured. Returns the path written, `None` when the
-    /// variable is unset.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn export_env(label: &str) -> io::Result<Option<PathBuf>> {
-        let Some(path) = env_path() else {
-            return Ok(None);
-        };
-        let threads = std::env::var("CCDN_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(0);
-        ObsReport::capture().write_json(&path, label, threads, None)?;
-        Ok(Some(path))
-    }
 }
 
 fn push_entries<T>(
@@ -667,11 +559,9 @@ mod tests {
         let before = ObsReport::capture();
         C.add(2);
         C.incr();
-        counter_add("test.counter.freefn", 4);
         let delta = ObsReport::capture().delta(&before);
         set_enabled(false);
         assert_eq!(delta.counters.get("test.counter.basic"), Some(&3));
-        assert_eq!(delta.counters.get("test.counter.freefn"), Some(&4));
     }
 
     #[test]
@@ -714,38 +604,6 @@ mod tests {
         let delta = ObsReport::capture().delta(&before);
         set_enabled(false);
         assert_eq!(delta.spans.get("test.span.basic").map(|s| s.count), Some(3));
-    }
-
-    #[test]
-    fn shards_merge_in_order() {
-        let _g = lock();
-        set_enabled(true);
-        let before = ObsReport::capture();
-        let shards: Vec<ObsShard> = (0..4)
-            .map(|i| {
-                let mut shard = ObsShard::new();
-                shard.add("test.shard.items", i + 1);
-                shard.timed("test.shard.work", || {});
-                shard
-            })
-            .collect();
-        assert!(!shards[0].is_empty());
-        merge_shards(shards);
-        let delta = ObsReport::capture().delta(&before);
-        set_enabled(false);
-        assert_eq!(delta.counters.get("test.shard.items"), Some(&10));
-        assert_eq!(delta.spans.get("test.shard.work").map(|s| s.count), Some(4));
-    }
-
-    #[test]
-    fn disabled_shard_is_inert() {
-        let _g = lock();
-        set_enabled(false);
-        let mut shard = ObsShard::new();
-        shard.add("test.shard.inert", 9);
-        let ran = shard.timed("test.shard.inert_span", || 42);
-        assert_eq!(ran, 42);
-        assert!(shard.is_empty());
     }
 
     #[test]

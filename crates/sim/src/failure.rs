@@ -125,7 +125,7 @@ fn check_duration(name: &'static str, value: f64) -> Result<f64, SimConfigError>
 }
 
 /// Validates a radius in km.
-pub(crate) fn check_radius(value: f64) -> Result<f64, SimConfigError> {
+fn check_radius(value: f64) -> Result<f64, SimConfigError> {
     if value.is_finite() && value >= 0.0 {
         Ok(value)
     } else {

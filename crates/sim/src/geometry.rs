@@ -1,6 +1,12 @@
 use ccdn_geo::{GridIndex, Point, Rect};
 use ccdn_trace::{Hotspot, HotspotId};
 
+/// The paper's collaboration radius in km (§V-A): hotspots serve each
+/// other's requests within this circle. [`OnlineRunner`](crate::OnlineRunner)
+/// routes failover within it, the Random and LP baselines redirect within
+/// it, and RBCAer's final latency threshold `θ₂` defaults to it.
+pub const COLLABORATION_RADIUS_KM: f64 = 1.5;
+
 /// Spatial view of a hotspot deployment: nearest-hotspot lookup, radius
 /// queries, pairwise distances, and the CDN fallback distance.
 ///

@@ -66,7 +66,7 @@ pub mod validate;
 
 pub use aggregate::{SlotDemand, VideoDemand};
 pub use failure::{FailureModel, FailureProcess, SimConfigError};
-pub use geometry::HotspotGeometry;
+pub use geometry::{HotspotGeometry, COLLABORATION_RADIUS_KM};
 pub use metrics::{
     served_loads, utilization_fairness, MetricsTotals, SlotMetrics, ValidationError,
 };

@@ -77,9 +77,9 @@
 
 use crate::rows::{merge_join, FlatRows, Joined};
 use crate::{
-    failure::check_radius, FailureModel, HotspotGeometry, MetricsTotals, PopularityPredictor,
-    Scheme, SimConfigError, SlotDecision, SlotDemand, SlotInput, SlotMetrics, Target,
-    ValidationError, VideoDemand,
+    FailureModel, HotspotGeometry, MetricsTotals, PopularityPredictor, Scheme, SimConfigError,
+    SlotDecision, SlotDemand, SlotInput, SlotMetrics, Target, ValidationError, VideoDemand,
+    COLLABORATION_RADIUS_KM,
 };
 use ccdn_chaos::{Backoff, Injector};
 use ccdn_obs::{Counter, Histogram};
@@ -346,21 +346,19 @@ impl Injector for NoFaults {}
 pub struct OnlineRunner<'a> {
     trace: &'a Trace,
     geometry: HotspotGeometry,
-    /// Cooperation radius for routing against fixed placements, in km.
-    radius_km: f64,
     failures: Option<FailureModel>,
     chaos: ChaosOptions,
     threads: Threads,
 }
 
 impl<'a> OnlineRunner<'a> {
-    /// Creates the runner with the paper's 1.5 km cooperation radius.
+    /// Creates the runner. Failover routes within the paper's
+    /// [`COLLABORATION_RADIUS_KM`].
     pub fn new(trace: &'a Trace) -> Self {
         let geometry = HotspotGeometry::new(trace.region, &trace.hotspots);
         OnlineRunner {
             trace,
             geometry,
-            radius_km: 1.5,
             failures: None,
             chaos: ChaosOptions::new(NoFaults),
             threads: Threads::Auto,
@@ -374,17 +372,6 @@ impl<'a> OnlineRunner<'a> {
     pub fn with_threads(mut self, n: usize) -> Self {
         self.threads = Threads::Fixed(n);
         self
-    }
-
-    /// Sets the routing cooperation radius.
-    ///
-    /// # Errors
-    ///
-    /// [`SimConfigError::InvalidRadius`] if the radius is negative or
-    /// non-finite.
-    pub fn with_radius_km(mut self, radius_km: f64) -> Result<Self, SimConfigError> {
-        self.radius_km = check_radius(radius_km)?;
-        Ok(self)
     }
 
     /// Enables failure injection (see the module docs for the stale-mask
@@ -601,7 +588,7 @@ impl<'a> OnlineRunner<'a> {
         let _route_span = ccdn_obs::span("sim.online.route");
         // Geometry and radius are fixed for the run: every slot shares
         // one set of neighbour rows.
-        let neighbours = radius_neighbour_rows(&self.geometry, self.radius_km);
+        let neighbours = radius_neighbour_rows(&self.geometry, COLLABORATION_RADIUS_KM);
         let routed = ccdn_par::par_map_indexed(self.threads, 0, &planned, |i, p| {
             let actual = &actuals[i];
             // Route the real slot against the fixed placement under the
@@ -1308,32 +1295,6 @@ mod tests {
         let empty = SlotDemand::aggregate(&[], &geo);
         // Predicting nothing: error = 1.0 (all realized demand missed).
         assert!((forecast_error(&empty, &actual) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wider_radius_never_reduces_serving() {
-        let t = trace();
-        let narrow = OnlineRunner::new(&t)
-            .with_radius_km(0.0)
-            .unwrap()
-            .run_with_oracle(&mut TopLocal)
-            .unwrap();
-        let wide = OnlineRunner::new(&t)
-            .with_radius_km(6.0)
-            .unwrap()
-            .run_with_oracle(&mut TopLocal)
-            .unwrap();
-        assert!(wide.total.hotspot_serving_ratio() >= narrow.total.hotspot_serving_ratio() - 1e-9);
-    }
-
-    #[test]
-    fn invalid_radius_is_rejected() {
-        let t = trace();
-        assert_eq!(
-            OnlineRunner::new(&t).with_radius_km(-1.0).unwrap_err(),
-            SimConfigError::InvalidRadius { value: -1.0 }
-        );
-        assert!(OnlineRunner::new(&t).with_radius_km(f64::NAN).is_err());
     }
 
     #[test]

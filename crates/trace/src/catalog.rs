@@ -95,7 +95,7 @@ impl VideoCatalog {
     /// [`cluster_locality`](Self::cluster_locality) the caller computed
     /// once, instead of once per request: the same draws and the same
     /// video.
-    // lint: allow(panic-reach, unchecked-arith-reach): `rank` is a draw of the catalog's own Zipf over `0..count`, the length of `global_perm` and the domain of `permuted_rank`
+    // lint: allow(panic-reach): `rank` is a draw of the catalog's own Zipf over `0..count`, the length of `global_perm` and the domain of `permuted_rank`
     pub(crate) fn sample_with_locality<R: Rng + ?Sized>(
         &self,
         cluster: Option<(usize, f64)>,

@@ -739,13 +739,8 @@ fn parse_fn(
                 break;
             }
             "const" | "unsafe" | "async" | "extern" => continue,
-            ")" => {
-                // `pub(crate)` — skip back over the restriction.
-                while j > 0 && tokens[j].text != "(" {
-                    j -= 1;
-                }
-                continue;
-            }
+            // `pub(crate)`, `pub(super)`, `pub(in path)`: a restricted
+            // `pub` is not part of the public surface.
             _ => break,
         }
     }

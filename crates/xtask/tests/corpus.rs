@@ -92,6 +92,11 @@ fn panic_chain_with_slice_indexing_is_flagged() {
 }
 
 #[test]
+fn restricted_pub_fn_is_not_an_entry() {
+    check_case("restricted_pub");
+}
+
+#[test]
 fn idle_and_unknown_waivers_are_flagged() {
     check_case("unused_waiver");
 }

@@ -22,7 +22,7 @@ fn schemes() -> Vec<Box<dyn Scheme>> {
     vec![
         Box::new(Rbcaer::new(RbcaerConfig::default())),
         Box::new(Nearest::new()),
-        Box::new(LocalRandom::new(1.5, 42)),
+        Box::new(LocalRandom::new()),
     ]
 }
 

@@ -41,7 +41,7 @@ fn main() {
 
     let runner = Runner::new(&trace);
     print_report(&runner.run(&mut Nearest::new()).expect("nearest validates"));
-    print_report(&runner.run(&mut LocalRandom::new(1.5, 42)).expect("random validates"));
+    print_report(&runner.run(&mut LocalRandom::new()).expect("random validates"));
     print_report(&runner.run(&mut Rbcaer::new(RbcaerConfig::default())).expect("rbcaer validates"));
 
     println!("\nRBCAer redirects load from crowded hotspots to idle neighbours with");

@@ -13,7 +13,7 @@
 //! `compare` runs the paper's scheme line-up on a preset and prints the
 //! four evaluation metrics.
 
-use crowdsourced_cdn::core::{LocalRandom, LpBased, LpBasedConfig, Nearest, Rbcaer, RbcaerConfig};
+use crowdsourced_cdn::core::{LocalRandom, LpBased, Nearest, Rbcaer, RbcaerConfig};
 use crowdsourced_cdn::geo::{Point, Rect, MAX_COORDINATE_KM};
 use crowdsourced_cdn::sim::{Runner, Scheme};
 use crowdsourced_cdn::trace::{Trace, TraceConfig};
@@ -74,8 +74,8 @@ fn scheme_by_name(name: &str) -> Result<Box<dyn Scheme>, String> {
             ..RbcaerConfig::default()
         }))),
         "nearest" => Ok(Box::new(Nearest::new())),
-        "random" => Ok(Box::new(LocalRandom::new(1.5, 42))),
-        "lp" => Ok(Box::new(LpBased::new(LpBasedConfig::default()))),
+        "random" => Ok(Box::new(LocalRandom::new())),
+        "lp" => Ok(Box::new(LpBased::new(120))),
         other => Err(format!("unknown scheme {other:?}")),
     }
 }

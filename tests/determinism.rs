@@ -7,7 +7,7 @@
 //! changed the rounded placements. Planning state is ordered
 //! (`BTreeMap`/`BTreeSet`) now; these tests keep it that way.
 
-use crowdsourced_cdn::core::{LpBased, LpBasedConfig, Rbcaer, RbcaerConfig};
+use crowdsourced_cdn::core::{LpBased, Rbcaer, RbcaerConfig};
 use crowdsourced_cdn::sim::{Ewma, FailureModel, OnlineRunner, Runner};
 use crowdsourced_cdn::trace::{Trace, TraceConfig};
 
@@ -42,9 +42,8 @@ fn online_report_is_byte_identical_across_runs() {
 fn lp_based_decisions_are_identical_across_runs() {
     let trace = trace();
     let runner = Runner::new(&trace);
-    let config = LpBasedConfig { max_pairs: 25, ..LpBasedConfig::default() };
-    let a = runner.run(&mut LpBased::new(config)).unwrap();
-    let b = runner.run(&mut LpBased::new(config)).unwrap();
+    let a = runner.run(&mut LpBased::new(25)).unwrap();
+    let b = runner.run(&mut LpBased::new(25)).unwrap();
     // RunReport carries wall-clock scheduling times; compare the scored
     // outcomes, which depend only on the decisions.
     assert_eq!(a.slots.len(), b.slots.len());

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full pipeline from trace generation
 //! through scheduling to validated metrics, for every scheme.
 
-use crowdsourced_cdn::core::{LocalRandom, LpBased, LpBasedConfig, Nearest, Rbcaer, RbcaerConfig};
+use crowdsourced_cdn::core::{LocalRandom, LpBased, Nearest, Rbcaer, RbcaerConfig};
 use crowdsourced_cdn::sim::{
     Ewma, FailureModel, HotspotGeometry, OnlineRunner, RunReport, Runner, Scheme, SeasonalNaive,
 };
@@ -35,13 +35,13 @@ fn with_offline_hotspots(trace: &Trace, failures: FailureModel) -> Trace {
 fn all_schemes() -> Vec<Box<dyn Scheme>> {
     vec![
         Box::new(Nearest::new()),
-        Box::new(LocalRandom::new(1.5, 7)),
+        Box::new(LocalRandom::new()),
         Box::new(Rbcaer::new(RbcaerConfig::default())),
         Box::new(Rbcaer::new(RbcaerConfig {
             content_aggregation: false,
             ..RbcaerConfig::default()
         })),
-        Box::new(LpBased::new(LpBasedConfig { max_pairs: 25, ..LpBasedConfig::default() })),
+        Box::new(LpBased::new(25)),
     ]
 }
 
@@ -86,8 +86,8 @@ fn deterministic_runs_produce_identical_reports() {
     for (sa, sb) in a.slots.iter().zip(&b.slots) {
         assert_eq!(sa.metrics, sb.metrics);
     }
-    let r1 = run(&mut LocalRandom::new(1.5, 5));
-    let r2 = run(&mut LocalRandom::new(1.5, 5));
+    let r1 = run(&mut LocalRandom::new());
+    let r2 = run(&mut LocalRandom::new());
     assert_eq!(r1.total, r2.total);
 }
 

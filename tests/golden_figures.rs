@@ -16,7 +16,7 @@
 
 use ccdn_bench::figures::{self, FigureData};
 use ccdn_chaos::{Backoff, ChaosConfig, FaultPlan};
-use ccdn_core::{Rbcaer, RbcaerConfig, RobustConfig, ShardConfig, ShardedRbcaer};
+use ccdn_core::{Rbcaer, RbcaerConfig, ShardConfig, ShardedRbcaer};
 use ccdn_sim::{ChaosOptions, Ewma, FailureModel, OnlineReport, OnlineRunner, RunReport, Runner};
 use std::fs;
 use std::path::PathBuf;
@@ -150,7 +150,7 @@ fn sharded_rbcaer_matches_golden() {
 #[test]
 fn robust_rbcaer_matches_golden() {
     let trace = figures::golden_config().generate();
-    let config = RbcaerConfig { robustness: Some(RobustConfig::default()), ..Default::default() };
+    let config = RbcaerConfig { robust: true, ..Default::default() };
     let report =
         Runner::new(&trace).run(&mut Rbcaer::new(config)).expect("robust RBCAer plans validate");
     check(&[offline_block("robust_rbcaer", &report)]);
