@@ -156,6 +156,32 @@ fn robust_rbcaer_matches_golden() {
     check(&[offline_block("robust_rbcaer", &report)]);
 }
 
+/// Pins flat RBCAer with content aggregation off: Procedure 1 skips its
+/// `e_u`-ranked phase, so the per-pair greedy phase carries every flow.
+#[test]
+fn rbcaer_balance_only_matches_golden() {
+    let trace = figures::golden_config().generate();
+    let config = RbcaerConfig { content_aggregation: false, ..Default::default() };
+    let report = Runner::new(&trace)
+        .run(&mut Rbcaer::new(config))
+        .expect("balance-only RBCAer plans validate");
+    check(&[offline_block("rbcaer_balance_only", &report)]);
+}
+
+/// Pins flat RBCAer under a replication budget below every slot's
+/// unbudgeted placements: `e_u`-ranked candidates get budget-blocked and
+/// the local cache fill runs out.
+#[test]
+fn rbcaer_budget_matches_golden() {
+    let trace = figures::golden_config().generate();
+    let config = RbcaerConfig { replication_budget: Some(10), ..Default::default() };
+    let report =
+        Runner::new(&trace).run(&mut Rbcaer::new(config)).expect("budgeted RBCAer plans validate");
+    // The budget must bind in every slot the fixture pins.
+    assert!(report.slots.iter().all(|s| s.metrics.replicas == 10));
+    check(&[offline_block("rbcaer_budget", &report)]);
+}
+
 /// One CSV row per slot of an online run: serving split, delta
 /// replication, and every failure/chaos tally.
 fn online_block(name: &'static str, report: &OnlineReport) -> FigureData {
