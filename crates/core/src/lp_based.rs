@@ -1,6 +1,6 @@
-use crate::serving::serve_locally;
+use crate::serving::{serve_locally, LocalServeOutcome};
 use ccdn_lp::{LpError, LpProblem, Relation};
-use ccdn_sim::{Scheme, SlotDecision, SlotInput, Target, COLLABORATION_RADIUS_KM};
+use ccdn_sim::{Scheme, SlotDecision, SlotInput, Target, VideoDemand, COLLABORATION_RADIUS_KM};
 use ccdn_trace::{HotspotId, VideoId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -207,7 +207,8 @@ impl Scheme for LpBased {
         // fractional x, respecting integral capacity and cache feasibility.
         let mut capacity_left: Vec<u64> = input.service_capacity.to_vec();
         let mut cache_left: Vec<u64> = input.cache_capacity.to_vec();
-        let mut placed: Vec<BTreeSet<VideoId>> = vec![BTreeSet::new(); n];
+        // Videos placed at each hotspot, one sorted row each.
+        let mut placed: Vec<Vec<VideoId>> = vec![Vec::new(); n];
         // Local (non-redirected) demand per hotspot, filled as we round.
         let mut local_remaining: Vec<BTreeMap<VideoId, u64>> = vec![BTreeMap::new(); n];
 
@@ -229,7 +230,8 @@ impl Scheme for LpBased {
                         // tail below so cache priorities stay consistent.
                         continue;
                     }
-                    let can_cache = placed[j.0].contains(&v) || cache_left[j.0] > 0;
+                    let held = placed[j.0].binary_search(&v);
+                    let can_cache = held.is_ok() || cache_left[j.0] > 0;
                     if !can_cache {
                         continue;
                     }
@@ -237,7 +239,8 @@ impl Scheme for LpBased {
                     if grant == 0 {
                         continue;
                     }
-                    if placed[j.0].insert(v) {
+                    if let Err(at) = held {
+                        placed[j.0].insert(at, v);
                         cache_left[j.0] -= 1;
                         decision.place(j, v);
                     }
@@ -259,21 +262,26 @@ impl Scheme for LpBased {
         }
 
         // Shared greedy tail: local serving + cache fill.
+        let mut local = LocalServeOutcome::default();
+        let mut demand: Vec<VideoDemand> = Vec::new();
+        let mut by_popularity = Vec::new();
         for h in 0..n {
-            let hid = HotspotId(h);
-            let mut demand: Vec<(VideoId, u64)> =
-                local_remaining[h].iter().map(|(&v, &c)| (v, c)).collect();
-            demand.sort_unstable_by_key(|&(v, _)| v);
-            serve_locally(
+            demand.clear();
+            demand.extend(
+                local_remaining[h].iter().map(|(&video, &count)| VideoDemand { video, count }),
+            );
+            local.absorb(serve_locally(
                 &mut decision,
-                hid,
+                HotspotId(h),
                 &demand,
                 &placed[h],
                 cache_left[h],
                 capacity_left[h],
                 &mut None,
-            );
+                &mut by_popularity,
+            ));
         }
+        local.add_to_counters();
         decision
     }
 }

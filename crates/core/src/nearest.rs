@@ -1,7 +1,6 @@
-use crate::serving::serve_locally;
+use crate::serving::{serve_locally, LocalServeOutcome};
 use ccdn_sim::{Scheme, SlotDecision, SlotInput};
 use ccdn_trace::HotspotId;
-use std::collections::BTreeSet;
 
 /// The **Nearest** routing baseline (§V-A).
 ///
@@ -41,21 +40,22 @@ impl Scheme for Nearest {
 
     fn schedule(&mut self, input: &SlotInput<'_>) -> SlotDecision {
         let mut decision = SlotDecision::new(input.hotspot_count());
-        let empty = BTreeSet::new();
+        let mut local = LocalServeOutcome::default();
+        let mut by_popularity = Vec::new();
         for h in 0..input.hotspot_count() {
             let h = HotspotId(h);
-            let demand: Vec<_> =
-                input.demand.videos(h).iter().map(|vd| (vd.video, vd.count)).collect();
-            serve_locally(
+            local.absorb(serve_locally(
                 &mut decision,
                 h,
-                &demand,
-                &empty,
+                input.demand.videos(h),
+                &[],
                 input.cache_capacity[h.0],
                 input.service_capacity[h.0],
                 &mut None,
-            );
+                &mut by_popularity,
+            ));
         }
+        local.add_to_counters();
         decision
     }
 }

@@ -1,4 +1,4 @@
-use ccdn_geo::{GridIndex, Point, Rect};
+use ccdn_geo::{GeoError, GridIndex, Point, Rect};
 use ccdn_trace::{Hotspot, HotspotId};
 
 /// The paper's collaboration radius in km (§V-A): hotspots serve each
@@ -34,6 +34,20 @@ pub struct HotspotGeometry {
 }
 
 impl HotspotGeometry {
+    /// Builds the geometry for `hotspots` inside `region`; see
+    /// [`HotspotGeometry::try_new`] for the typed-error path.
+    ///
+    /// # Panics
+    ///
+    /// Panics on every input [`HotspotGeometry::try_new`] rejects.
+    pub fn new(region: Rect, hotspots: &[Hotspot]) -> Self {
+        match Self::try_new(region, hotspots) {
+            Ok(geometry) => geometry,
+            // lint: allow(no-panic): documented constructor contract — try_new is the typed path
+            Err(e) => panic!("HotspotGeometry::new: {e}"),
+        }
+    }
+
     /// Builds the geometry for `hotspots` inside `region`.
     ///
     /// The CDN fallback distance is pinned to 20 km when the region
@@ -41,15 +55,26 @@ impl HotspotGeometry {
     /// diagonal otherwise (the paper "directly set\[s\] the content access
     /// latency as 20 km when a user request is served by \[the\] CDN
     /// server", §V-A).
-    pub fn new(region: Rect, hotspots: &[Hotspot]) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`GeoError`] if a hotspot location or a region corner has a
+    /// non-finite coordinate or one beyond
+    /// [`MAX_COORDINATE_KM`](ccdn_geo::MAX_COORDINATE_KM) in magnitude, or
+    /// if there are more than `u32::MAX` hotspots: the inputs
+    /// [`GridIndex::try_build`] rejects. A `Rect` never holds a non-finite
+    /// corner ([`Rect::new`] panics on one).
+    // lint: allow(panic-reach): every rejection is GridIndex::try_build's GeoError; the
+    // remaining sink is Rect::diagonal's `.distance` resolving by name to an indexing fn
+    pub fn try_new(region: Rect, hotspots: &[Hotspot]) -> Result<Self, GeoError> {
         let locations: Vec<Point> = hotspots.iter().map(|h| h.location).collect();
         // The region's longer side over 32, clamped to 0.25–2 km: 0.53 km
         // on the paper's 17 km × 11 km region, 2 km at metro scale.
         let cell = (region.width().max(region.height()) / 32.0).clamp(0.25, 2.0);
-        let grid = GridIndex::build(region, cell, locations.iter().copied());
+        let grid = GridIndex::try_build(region, cell, locations.iter().copied())?;
         let diagonal = region.diagonal();
         let cdn_distance = if (diagonal - 20.0).abs() < 1.0 { 20.0 } else { diagonal };
-        HotspotGeometry { region, locations, grid, cdn_distance }
+        Ok(HotspotGeometry { region, locations, grid, cdn_distance })
     }
 
     /// The deployment region.
@@ -155,6 +180,43 @@ mod tests {
         let trace = TraceConfig::small_test().generate();
         let geo = HotspotGeometry::new(trace.region, &trace.hotspots);
         (trace, geo)
+    }
+
+    #[test]
+    fn try_new_builds_what_new_builds() {
+        let (trace, geo) = geometry();
+        let tried = HotspotGeometry::try_new(trace.region, &trace.hotspots).expect("valid trace");
+        assert_eq!(format!("{tried:?}"), format!("{geo:?}"));
+    }
+
+    #[test]
+    fn try_new_rejects_unusable_coordinates() {
+        let trace = TraceConfig::small_test().generate();
+        let moved = |x: f64| {
+            let mut hotspots = trace.hotspots.clone();
+            hotspots[3].location = Point::new(x, 5.0);
+            HotspotGeometry::try_new(trace.region, &hotspots).unwrap_err().to_string()
+        };
+        assert!(moved(f64::NAN).contains("point 3 has non-finite coordinates"));
+        assert!(moved(1e300).contains("point 3 lies beyond the coordinate range"));
+        // `Rect::new` refuses a NaN corner, so the region a geometry can
+        // be handed is finite; its corners may still lie out of range,
+        // or span more than an `f64` can measure.
+        let far = Rect::new(Point::new(0.0, 0.0), Point::new(1e300, 11.0));
+        let err = HotspotGeometry::try_new(far, &trace.hotspots).unwrap_err().to_string();
+        assert!(err.contains("bounds corner"), "{err}");
+        let huge = Rect::new(Point::new(-1e308, 0.0), Point::new(1e308, 11.0));
+        assert!(huge.width().is_infinite());
+        let err = HotspotGeometry::try_new(huge, &trace.hotspots).unwrap_err().to_string();
+        assert!(err.contains("bounds corner"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "HotspotGeometry::new: point 0 has non-finite coordinates")]
+    fn new_panics_on_what_try_new_rejects() {
+        let mut trace = TraceConfig::small_test().generate();
+        trace.hotspots[0].location = Point::new(f64::NAN, 0.0);
+        HotspotGeometry::new(trace.region, &trace.hotspots);
     }
 
     #[test]

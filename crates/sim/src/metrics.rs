@@ -925,7 +925,7 @@ mod tests {
                 .collect();
             let alive = vec![true; hotspots];
             let (mut decision, _) =
-                route_with_failover(&geometry, &demand, &service, &placements, &alive, 1.5);
+                route_with_failover(&geometry, &demand, &service, &placements, &alive);
             let valid = SlotInput {
                 geometry: &geometry,
                 demand: &demand,

@@ -996,11 +996,12 @@ fn masked(capacity: &[u64], alive: &[bool]) -> Vec<u64> {
 /// under a liveness mask.
 ///
 /// The serving chain per `(hotspot, video)` batch is: the aggregation
-/// hotspot itself if it caches the video, then radius neighbours caching
-/// it in ascending-distance order, then the CDN — skipping offline or
-/// capacity-exhausted hotspots. The returned decision's placements are
-/// the *effective* ones (offline hotspots emptied: their cache is
-/// unreachable and, per the wipe semantics, gone).
+/// hotspot itself if it caches the video, then the neighbours within
+/// [`COLLABORATION_RADIUS_KM`] caching it in ascending-distance order,
+/// then the CDN — skipping offline or capacity-exhausted hotspots. The
+/// returned decision's placements are the *effective* ones (offline
+/// hotspots emptied: their cache is unreachable and, per the wipe
+/// semantics, gone).
 ///
 /// [`FailoverStats`] tallies the requests whose **planned** server — the
 /// first chain candidate caching the video under the planned placements,
@@ -1021,9 +1022,8 @@ pub fn route_with_failover(
     service: &[u64],
     placements: &[Vec<VideoId>],
     alive: &[bool],
-    radius_km: f64,
 ) -> (SlotDecision, FailoverStats) {
-    let neighbours = radius_neighbour_rows(geometry, radius_km);
+    let neighbours = radius_neighbour_rows(geometry, COLLABORATION_RADIUS_KM);
     route_rows(&neighbours, actual, service, placements, placements, alive, None)
 }
 
@@ -1388,7 +1388,7 @@ mod tests {
         };
         let placements = scheme.schedule(&input).placements;
         let alive = vec![true; t.hotspots.len()];
-        let (_, stats) = route_with_failover(&geo, &actual, &service, &placements, &alive, 1.5);
+        let (_, stats) = route_with_failover(&geo, &actual, &service, &placements, &alive);
         assert_eq!(stats, FailoverStats::default());
     }
 

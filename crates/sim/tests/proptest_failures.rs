@@ -3,12 +3,12 @@
 //! serving rests on (see DESIGN.md). Cache-wipe delta accounting is
 //! property-tested on the replication replay itself, in `online.rs`.
 
-use ccdn_sim::{route_with_failover, FailureModel, HotspotGeometry, SlotDemand, Target};
+use ccdn_sim::{
+    route_with_failover, FailureModel, HotspotGeometry, SlotDemand, Target, COLLABORATION_RADIUS_KM,
+};
 use ccdn_trace::{HotspotId, TraceConfig, VideoId};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-
-const RADIUS_KM: f64 = 1.5;
 
 /// A routing scenario: a small trace slot plus random planned placements
 /// and a random liveness mask.
@@ -86,7 +86,7 @@ proptest! {
             placements.iter().map(|p| p.iter().copied().collect()).collect();
 
         let (decision, stats) =
-            route_with_failover(&geometry, &demand, &service, &placements, &alive, RADIUS_KM);
+            route_with_failover(&geometry, &demand, &service, &placements, &alive);
 
         let mut served = 0u64;
         for a in &decision.assignments {
@@ -99,7 +99,7 @@ proptest! {
                     a.video
                 );
                 prop_assert!(
-                    j == a.from || geometry.distance(a.from, j) <= RADIUS_KM + 1e-9,
+                    j == a.from || geometry.distance(a.from, j) <= COLLABORATION_RADIUS_KM + 1e-9,
                     "served outside the collaboration radius"
                 );
             }
@@ -110,7 +110,7 @@ proptest! {
         // in-radius hotspot caches can have no hotspot-served portion.
         for h in 0..alive.len() {
             let hid = HotspotId(h);
-            let mut reachable = geometry.within_radius(hid, RADIUS_KM);
+            let mut reachable = geometry.within_radius(hid, COLLABORATION_RADIUS_KM);
             reachable.push(hid);
             for vd in demand.videos(hid) {
                 let holder = reachable
