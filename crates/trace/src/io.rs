@@ -181,15 +181,17 @@ impl Trace {
     /// that orders generated traces, so memory is the requests plus one
     /// counter per slot); hotspot ids must be the dense range `0..n` (any
     /// order in the file), with at least one hotspot. Every hotspot and
-    /// request must lie inside `region`, its border included.
+    /// request must lie inside `region`, its border included. Fields past
+    /// the fifth are ignored.
     ///
     /// # Errors
     ///
     /// I/O errors, per-line parse errors with file/line context (among
     /// them a NaN or infinite coordinate, one beyond
-    /// [`MAX_COORDINATE_KM`] in magnitude, a point outside `region`, and
-    /// out-of-range videos or timeslots), and structural inconsistencies
-    /// (no hotspots, non-dense hotspot ids).
+    /// [`MAX_COORDINATE_KM`] in magnitude, a point outside `region`,
+    /// out-of-range videos or timeslots, and a hotspot id that repeats or
+    /// is not below the hotspot row count), and
+    /// [`TraceIoError::Inconsistent`] for a hotspot file with no rows.
     pub fn read_csv<H, R>(
         region: Rect,
         video_count: usize,
@@ -205,6 +207,7 @@ impl Trace {
         const RFILE: &str = "requests.csv";
 
         let mut parsed_hotspots: Vec<Hotspot> = Vec::new();
+        let mut hotspot_lines: Vec<usize> = Vec::new();
         for (idx, line) in BufReader::new(hotspots).lines().enumerate() {
             let line = line?;
             if idx == 0 || line.trim().is_empty() {
@@ -224,24 +227,31 @@ impl Trace {
                 service_capacity: service,
                 cache_capacity: cache,
             });
+            hotspot_lines.push(lineno);
         }
         if parsed_hotspots.is_empty() {
             return Err(TraceIoError::Inconsistent(format!(
                 "{HFILE} has no hotspot rows; every request needs a hotspot to aggregate to"
             )));
         }
-        // Ids at or past `n` share the last bucket: they sort after every
-        // id below `n`, so the first mismatch below is the one a full sort
-        // by id would show.
+        // `n` rows hold the dense ids `0..n` exactly when every id is below
+        // `n` and none repeats, so a non-dense file always has a first row,
+        // in file order, that breaks one of the two: name its line.
         let n = parsed_hotspots.len();
-        let parsed_hotspots = bucket_sort(vec![parsed_hotspots], n.saturating_add(1), |h| h.id.0);
-        for (expect, h) in parsed_hotspots.iter().enumerate() {
-            if h.id.0 != expect {
-                return Err(TraceIoError::Inconsistent(format!(
-                    "hotspot ids must be dense 0..n; missing or duplicate id near {expect}"
-                )));
-            }
+        let mut first_line: Vec<Option<usize>> = vec![None; n];
+        for (h, &line) in parsed_hotspots.iter().zip(&hotspot_lines) {
+            let id = h.id.0;
+            let message = match first_line.get_mut(id) {
+                None => format!("hotspot id {id} is not below the {n} hotspot rows (ids are 0..n)"),
+                Some(Some(first)) => format!("duplicate hotspot id {id}, first on line {first}"),
+                Some(seen) => {
+                    *seen = Some(line);
+                    continue;
+                }
+            };
+            return Err(TraceIoError::Parse { file: HFILE, line, message });
         }
+        let parsed_hotspots = bucket_sort(vec![parsed_hotspots], n, |h| h.id.0);
 
         let mut parsed_requests: Vec<Request> = Vec::new();
         for (idx, line) in BufReader::new(requests).lines().enumerate() {
@@ -373,17 +383,28 @@ mod tests {
     }
 
     #[test]
-    fn non_dense_hotspot_ids_are_rejected() {
-        let hotspots = "id,x_km,y_km,service_capacity,cache_capacity\n0,1,1,5,5\n2,2,2,5,5\n";
-        let err = Trace::read_csv(
-            ccdn_geo::Rect::paper_eval_region(),
-            10,
-            24,
-            hotspots.as_bytes(),
-            "user,video,timeslot,x_km,y_km\n".as_bytes(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, TraceIoError::Inconsistent(_)), "{err}");
+    fn non_dense_hotspot_ids_are_rejected_with_their_line() {
+        let header = "id,x_km,y_km,service_capacity,cache_capacity\n";
+        for (rows, line, what) in [
+            ("0,1,1,5,5\n2,2,2,5,5\n", 3, "hotspot id 2 is not below the 2 hotspot rows"),
+            ("1,1,1,5,5\n0,2,2,5,5\n1,3,3,5,5\n", 4, "duplicate hotspot id 1, first on line 2"),
+        ] {
+            let err = Trace::read_csv(
+                ccdn_geo::Rect::paper_eval_region(),
+                10,
+                24,
+                format!("{header}{rows}").as_bytes(),
+                "user,video,timeslot,x_km,y_km\n".as_bytes(),
+            )
+            .unwrap_err();
+            match err {
+                TraceIoError::Parse { file, line: at, message } => {
+                    assert_eq!((file, at), ("hotspots.csv", line));
+                    assert!(message.contains(what), "{message}");
+                }
+                other => panic!("unexpected error {other}"),
+            }
+        }
     }
 
     #[test]
