@@ -77,7 +77,7 @@ pub fn hierarchical_cluster(
             dist[i * n + j] = distances.get(i, j);
         }
     }
-    merge_loop(dist, n, linkage, threshold)
+    merge_loop(dist, n, (0..n).map(|i| vec![i]).collect(), linkage, threshold)
 }
 
 /// [`hierarchical_cluster`] over the Jaccard distance
@@ -86,12 +86,25 @@ pub fn hierarchical_cluster(
 ///
 /// Returns exactly what [`hierarchical_cluster`] returns on
 /// `DistanceMatrix::from_fn(n, |i, j| 1.0 - jaccard(&sets[i], &sets[j]))`,
-/// including distance 0 between two empty sets, but builds neither that
-/// packed matrix nor the `n²/2` pairwise set walks: it sorts the sets'
-/// `(element, set)` postings and counts every intersection straight into
-/// the dense working matrix the merge loop then runs on. The counting is
-/// `O(P log P + Σ_e g_e²)` for `P` postings and `g_e` sets holding
-/// element `e`.
+/// including distance 0 between two empty sets, and adds the same number
+/// of merges to the `cluster.merges` counter, but builds neither that
+/// packed matrix nor the `n²/2` pairwise set walks.
+///
+/// Identical sets are grouped first. `Jd` is 0 exactly between identical
+/// sets, so the merge loop would fold each group into its smallest member
+/// before any other merge; those `n − d` merges are counted without being
+/// run, and the loop runs on one row per distinct set, seeded with each
+/// group's members and size. Under average linkage the rows are first
+/// refolded to the bits the `n`-row loop leaves after its duplicate
+/// merges. The grouping is one `O(n log n)` sort that compares lengths
+/// first, then elements from the last one, so two sets that share their
+/// popular head differ after a few steps.
+///
+/// The distance rows of the `d` distinct sets come from their sorted
+/// `(element, set)` postings, each intersection counted straight into the
+/// dense `d × d` working matrix: `O(P log P + Σ_e g_e²)` for `P` postings
+/// and `g_e` distinct sets holding element `e`. The merge loop is then
+/// `O(d²)` typical and `O(d³)` worst case.
 ///
 /// # Panics
 ///
@@ -117,14 +130,72 @@ pub fn cluster_jaccard<T: Ord, S: AsRef<[T]>>(
     if sets.is_empty() {
         return Vec::new();
     }
-    merge_loop(jaccard_distance_rows(sets), sets.len(), linkage, threshold)
+    let (distinct, members) = duplicate_groups(sets);
+    let mut dist = jaccard_distance_rows(&distinct);
+    if linkage == Linkage::Average {
+        let sizes: Vec<usize> = members.iter().map(Vec::len).collect();
+        refold_average(&mut dist, &sizes);
+    }
+    Counter::add(&MERGES, sets.len().saturating_sub(distinct.len()) as u64);
+    merge_loop(dist, distinct.len(), members, linkage, threshold)
+}
+
+/// Groups equal sets: one representative per distinct set and, in the
+/// same order, each group's members ascending. Groups are ordered by
+/// their smallest member, which is the order the merge loop folds them
+/// in, and the one its rows must keep for ties to break the same way.
+fn duplicate_groups<T: Ord, S: AsRef<[T]>>(sets: &[S]) -> (Vec<&[T]>, Vec<Vec<usize>>) {
+    let tail_first =
+        |a: &[T], b: &[T]| a.len().cmp(&b.len()).then_with(|| a.iter().rev().cmp(b.iter().rev()));
+    let mut keyed: Vec<(&[T], usize)> = sets.iter().map(AsRef::as_ref).zip(0..).collect();
+    keyed.sort_unstable_by(|a, b| tail_first(a.0, b.0).then(a.1.cmp(&b.1)));
+    let mut groups: Vec<&[(&[T], usize)]> = keyed.chunk_by(|a, b| a.0 == b.0).collect();
+    groups.sort_unstable_by_key(|group| group.first().map(|&(_, smallest)| smallest));
+    let distinct = groups.iter().filter_map(|group| group.first().map(|&(set, _)| set)).collect();
+    let members = groups.iter().map(|group| group.iter().map(|&(_, i)| i).collect()).collect();
+    (distinct, members)
+}
+
+/// Rewrites the `d × d` average-linkage rows of the distinct sets into
+/// the rows the `n`-row merge loop holds once it has folded every group
+/// of `sizes[g]` identical sets into its smallest member.
+///
+/// Folding a group into its smallest member takes one member at a time;
+/// each step averages the running entry with an unchanged member's, and
+/// `(s·x + x)/(s + 1)` is not always `x` in floating point. Groups fold
+/// in order of their smallest members, so entry `(p, q)`, `p < q`, is
+/// first the running mean over group `p`'s members, then over group
+/// `q`'s, step for step the loop's update; entry `(q, p)` gets the same
+/// bits. Complete and single linkage take the maximum or minimum of equal
+/// values, which is exact, and need no refold.
+fn refold_average(dist: &mut [f64], sizes: &[usize]) {
+    let running_mean = |x: f64, size: usize| {
+        let mut mean = x;
+        for absorbed in 1..size {
+            let (sa, sb) = (absorbed as f64, 1.0);
+            mean = (sa * mean + sb * x) / (sa + sb);
+        }
+        mean
+    };
+    let rows = dist.chunks_exact_mut(sizes.len().max(1));
+    for (p, (row, &size_p)) in rows.zip(sizes).enumerate() {
+        for (q, (entry, &size_q)) in row.iter_mut().zip(sizes).enumerate() {
+            let (first, second) = if p < q { (size_p, size_q) } else { (size_q, size_p) };
+            if p != q && (first > 1 || second > 1) {
+                *entry = running_mean(running_mean(*entry, first), second);
+            }
+        }
+    }
 }
 
 /// Neighbour slot of a row with no live column to its right.
 const NO_NEIGHBOUR: usize = usize::MAX;
 
 /// The merge loop shared by [`hierarchical_cluster`] and
-/// [`cluster_jaccard`], over a dense row-major `n × n` symmetric matrix.
+/// [`cluster_jaccard`], over a dense row-major `n × n` symmetric matrix
+/// whose row `i` starts as the cluster `members[i]`, with that many items
+/// as its size: one item each for [`hierarchical_cluster`], one group of
+/// identical sets each for [`cluster_jaccard`].
 ///
 /// `nn[i] = (d, j)` caches row `i`'s nearest live column `j > i`, the
 /// smallest `j` on ties, so the smallest `i` among rows with the minimal
@@ -137,11 +208,17 @@ const NO_NEIGHBOUR: usize = usize::MAX;
 #[allow(clippy::needless_range_loop)]
 // lint: allow(panic-reach, unchecked-arith-reach): every index is a row or column id
 // below `n` into the n × n matrix and the per-row vectors the callers size to `n`
-fn merge_loop(mut dist: Vec<f64>, n: usize, linkage: Linkage, threshold: f64) -> Vec<Vec<usize>> {
+fn merge_loop(
+    mut dist: Vec<f64>,
+    n: usize,
+    mut members: Vec<Vec<usize>>,
+    linkage: Linkage,
+    threshold: f64,
+) -> Vec<Vec<usize>> {
     debug_assert_eq!(dist.len(), n * n, "working matrix must be n × n");
+    debug_assert_eq!(members.len(), n, "one seed cluster per row");
     let mut active = vec![true; n];
-    let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-    let mut sizes = vec![1usize; n];
+    let mut sizes: Vec<usize> = members.iter().map(Vec::len).collect();
     let nearest_right = |dist: &[f64], active: &[bool], i: usize| {
         let row = &dist[i * n..(i + 1) * n];
         let mut best = (f64::INFINITY, NO_NEIGHBOUR);
@@ -234,6 +311,7 @@ mod tests {
     use super::*;
     use crate::jaccard;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn line_matrix(pos: &[f64]) -> DistanceMatrix {
         DistanceMatrix::from_fn(pos.len(), |i, j| (pos[i] - pos[j]).abs())
@@ -470,13 +548,28 @@ mod tests {
 
         #[test]
         fn prop_cluster_jaccard_matches_the_packed_matrix_path(
-            raw in prop::collection::vec(prop::collection::btree_set(0u32..12, 0..6), 0..30),
+            universe in 1u32..13,
+            raw in prop::collection::vec(prop::collection::btree_set(0u32..12, 0..6), 0..60),
+            cut in 0.0f64..=1.0,
+            pair in (0usize..60, 0usize..60),
         ) {
-            // A 12-element universe makes empty, duplicate and nested
-            // sets common.
-            let sets: Vec<Vec<u32>> = raw.iter().map(|s| s.iter().copied().collect()).collect();
-            let dm = DistanceMatrix::from_fn(sets.len(), |i, j| 1.0 - jaccard(&sets[i], &sets[j]));
-            LINKAGES.iter().flat_map(|&l| THRESHOLDS.map(|t| (l, t))).for_each(|(linkage, t)| {
+            // A universe of at most 12 elements makes empty, duplicate and
+            // nested sets common; a small one makes groups of three or more
+            // identical sets common too, where average linkage's refold
+            // starts to differ from the plain distance.
+            let sets: Vec<Vec<u32>> = raw
+                .iter()
+                .map(|s| s.iter().map(|e| e % universe).collect::<BTreeSet<u32>>())
+                .map(|s| s.into_iter().collect())
+                .collect();
+            let n = sets.len();
+            let dm = DistanceMatrix::from_fn(n, |i, j| 1.0 - jaccard(&sets[i], &sets[j]));
+            // Besides the fixed cuts: one drawn from [0, 1], and one sitting
+            // exactly on a distance of the matrix, where one bit of
+            // difference in a merged distance flips the merge.
+            let on_a_distance = if n == 0 { 0.0 } else { dm.get(pair.0 % n, pair.1 % n) };
+            let cuts = THRESHOLDS.into_iter().chain([cut, on_a_distance]);
+            LINKAGES.iter().flat_map(|&l| cuts.clone().map(move |t| (l, t))).for_each(|(linkage, t)| {
                 let expected = rescan_reference(&dm, linkage, t);
                 assert_eq!(hierarchical_cluster(&dm, linkage, t), expected, "{linkage:?} at {t}");
                 assert_eq!(cluster_jaccard(&sets, linkage, t), expected, "{linkage:?} at {t}");

@@ -21,9 +21,10 @@
 //! nearest live neighbour, so a merge rescans only the rows it touched
 //! instead of the whole matrix (`O(n²)` typical, `O(n³)` worst case), and
 //! the partition is exactly that of a full rescan per merge.
-//! [`cluster_jaccard`] counts set intersections from sorted postings
-//! straight into its dense working matrix, so it builds no packed matrix
-//! and walks no set pair.
+//! [`cluster_jaccard`] groups identical sets first and runs the loop on
+//! one row per distinct set, with the same partition and merge count; it
+//! counts set intersections from sorted postings straight into its dense
+//! working matrix, so it builds no packed matrix and walks no set pair.
 //!
 //! # Examples
 //!

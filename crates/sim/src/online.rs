@@ -1015,16 +1015,26 @@ fn masked(capacity: &[u64], alive: &[bool]) -> Vec<u64> {
 ///
 /// `service` must already be zeroed for offline hotspots (it is re-masked
 /// defensively). With an all-alive mask this is exactly the baseline
-/// greedy routing and the stats are zero.
+/// greedy routing and the stats are zero. Placements are indexed per
+/// video, up to the largest video id `actual` demands: 32 bytes per id.
+///
+/// # Errors
+///
+/// [`ValidationError::ShapeMismatch`] when `service`, `placements`,
+/// `alive` or the demand does not cover exactly the geometry's hotspots.
 pub fn route_with_failover(
     geometry: &HotspotGeometry,
     actual: &SlotDemand,
     service: &[u64],
     placements: &[Vec<VideoId>],
     alive: &[bool],
-) -> (SlotDecision, FailoverStats) {
+) -> Result<(SlotDecision, FailoverStats), ValidationError> {
+    let n = geometry.len();
+    if [service.len(), placements.len(), alive.len(), actual.hotspot_count()] != [n; 4] {
+        return Err(ValidationError::ShapeMismatch);
+    }
     let neighbours = radius_neighbour_rows(geometry, COLLABORATION_RADIUS_KM);
-    route_rows(&neighbours, actual, service, placements, placements, alive, None)
+    Ok(route_rows(&neighbours, actual, service, placements, placements, alive, None))
 }
 
 /// Radius neighbours of every hotspot, one row each: the hotspots within
@@ -1056,6 +1066,14 @@ fn radius_neighbour_rows(geometry: &HotspotGeometry, radius_km: f64) -> FlatRows
 /// placements when the two agree. `chain_budget` caps the servers a batch
 /// may consult (see [`ChaosOptions::with_chain_budget`]); `None` means
 /// unbounded.
+///
+/// Both placements are looked up through per-video holder rows
+/// ([`FlatRows::holders`]) over the slot's demanded video range, two
+/// indexes of 16 bytes per video id up to the largest demanded one. A batch
+/// whose video no hotspot holds, planned or effective, settles without
+/// walking its chain: it has no planned server, so it is not disrupted,
+/// and all of it goes to the CDN, counted as origin spill only when the
+/// budget is 0, as the chain's first check would count it.
 fn route_rows(
     neighbours: &FlatRows<usize>,
     actual: &SlotDemand,
@@ -1066,7 +1084,13 @@ fn route_rows(
     chain_budget: Option<u64>,
 ) -> (SlotDecision, FailoverStats) {
     let n = planned_placements.len();
-    let planned_cached = FlatRows::sorted_videos(planned_placements);
+    // Rows are sorted by video, so the last entry of each is its largest.
+    let videos = (0..actual.hotspot_count())
+        .filter_map(|h| actual.videos(ccdn_trace::HotspotId(h)).last())
+        .map(|vd| vd.video.0 as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let planned_holders = FlatRows::holders(planned_placements, videos);
 
     // Effective placements, with offline hotspots emptied (their cache is
     // unreachable).
@@ -1076,7 +1100,7 @@ fn route_rows(
             placement.clear();
         }
     }
-    let cached = FlatRows::sorted_videos(&placements);
+    let holders = FlatRows::holders(&placements, videos);
 
     let budget = chain_budget.unwrap_or(u64::MAX);
     let mut decision = SlotDecision { assignments: Vec::new(), placements };
@@ -1093,12 +1117,23 @@ fn route_rows(
         vids.extend_from_slice(actual.videos(hid));
         vids.sort_unstable_by(|a, b| b.count.cmp(&a.count).then(a.video.cmp(&b.video)));
         for vd in &vids {
+            let video = vd.video.0 as usize;
+            // No hotspot holds the video: there is no planned server to
+            // lose and none to serve, so the chain would only reach the
+            // CDN, having hit its deadline on the first check at budget 0.
+            if planned_holders.row_at(video).is_empty() && holders.row_at(video).is_empty() {
+                decision.assign(hid, vd.video, Target::Cdn, vd.count);
+                if budget == 0 {
+                    stats.origin_spilled += vd.count;
+                }
+                continue;
+            }
             // The planned server: first chain candidate caching the
             // video as the scheme intended, liveness unknown to it.
-            let planned = if planned_cached.row_holds(h, vd.video) {
+            let planned = if planned_holders.row_holds(video, h) {
                 Some(h)
             } else {
-                near.iter().copied().find(|&j| planned_cached.row_holds(j, vd.video))
+                near.iter().copied().find(|&j| planned_holders.row_holds(video, j))
             };
             let disrupted = planned.is_some_and(|j| !alive[j]);
 
@@ -1109,7 +1144,7 @@ fn route_rows(
             // Local first (consulting it consumes budget too).
             if budget == 0 {
                 deadline_hit = remaining > 0;
-            } else if cached.row_holds(h, vd.video) && capacity_left[h] > 0 {
+            } else if holders.row_holds(video, h) && capacity_left[h] > 0 {
                 let m = remaining.min(capacity_left[h]);
                 decision.assign(hid, vd.video, Target::Hotspot(hid), m);
                 capacity_left[h] -= m;
@@ -1127,7 +1162,7 @@ fn route_rows(
                     deadline_hit = true;
                     break;
                 }
-                if cached.row_holds(j, vd.video) && capacity_left[j] > 0 {
+                if holders.row_holds(video, j) && capacity_left[j] > 0 {
                     let m = remaining.min(capacity_left[j]);
                     decision.assign(hid, vd.video, Target::Hotspot(ccdn_trace::HotspotId(j)), m);
                     capacity_left[j] -= m;
@@ -1388,8 +1423,41 @@ mod tests {
         };
         let placements = scheme.schedule(&input).placements;
         let alive = vec![true; t.hotspots.len()];
-        let (_, stats) = route_with_failover(&geo, &actual, &service, &placements, &alive);
+        let (_, stats) = route_with_failover(&geo, &actual, &service, &placements, &alive).unwrap();
         assert_eq!(stats, FailoverStats::default());
+    }
+
+    #[test]
+    fn route_with_failover_rejects_inputs_of_another_length() {
+        let t = trace();
+        let geo = HotspotGeometry::new(t.region, &t.hotspots);
+        let n = geo.len();
+        let actual = SlotDemand::aggregate(t.slot_requests(5), &geo);
+        let service: Vec<u64> = t.hotspots.iter().map(|h| u64::from(h.service_capacity)).collect();
+        let placements = vec![vec![VideoId(0)]; n];
+        let alive = vec![true; n];
+        assert!(route_with_failover(&geo, &actual, &service, &placements, &alive).is_ok());
+        let rows = |len: usize| (0..len).map(|h| vec![VideoId(h as u32)]).collect::<Vec<_>>();
+        let demand = |len: usize| SlotDemand::from_parts(vec![Vec::new(); len], vec![0.0; len]);
+        for len in [n - 1, n + 1] {
+            let results = [
+                ("service", route_with_failover(&geo, &actual, &vec![5; len], &placements, &alive)),
+                ("placements", route_with_failover(&geo, &actual, &service, &rows(len), &alive)),
+                (
+                    "alive",
+                    route_with_failover(&geo, &actual, &service, &placements, &vec![true; len]),
+                ),
+                ("demand", route_with_failover(&geo, &demand(len), &service, &placements, &alive)),
+            ];
+            for (input, result) in results {
+                let err = result.unwrap_err();
+                assert_eq!(
+                    err,
+                    ValidationError::ShapeMismatch,
+                    "{input}: {len} rows, {n} hotspots"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1950,6 +2018,62 @@ mod tests {
         }
     }
 
+    /// Videos no hotspot holds go to the CDN whole, and count as origin
+    /// spill only at a zero budget, next to held videos whose chains the
+    /// same slot walks, exactly as the reference routes them.
+    #[test]
+    fn unheld_videos_settle_like_the_reference_at_every_budget() {
+        let t = trace();
+        let geo = HotspotGeometry::new(t.region, &t.hotspots);
+        let actual = SlotDemand::aggregate(t.slot_requests(5), &geo);
+        let service: Vec<u64> = t.hotspots.iter().map(|h| u64::from(h.service_capacity)).collect();
+        // Only videos below 20 are placed, some of them on offline hotspots.
+        let placements: Vec<Vec<VideoId>> = (0..geo.len())
+            .map(|h| vec![VideoId((h % 20) as u32), VideoId(((h + 7) % 20) as u32)])
+            .collect();
+        let alive: Vec<bool> = (0..geo.len()).map(|h| h % 3 != 0).collect();
+        let unheld: u64 =
+            actual.per_video().filter(|(_, vd)| vd.video.0 >= 20).map(|(_, vd)| vd.count).sum();
+        assert!(
+            unheld > 0 && unheld < actual.total_requests(),
+            "the slot mixes held and unheld videos"
+        );
+        let neighbours = radius_neighbour_rows(&geo, COLLABORATION_RADIUS_KM);
+        for budget in [None, Some(0), Some(1)] {
+            let got = route_rows(
+                &neighbours,
+                &actual,
+                &service,
+                &placements,
+                &placements,
+                &alive,
+                budget,
+            );
+            let want = reference_route(
+                &geo,
+                &actual,
+                &service,
+                &placements,
+                &placements,
+                &alive,
+                COLLABORATION_RADIUS_KM,
+                budget,
+            );
+            assert_eq!(got, want, "budget {budget:?}");
+            let (decision, stats) = got;
+            let unheld_to_cdn: u64 = decision
+                .assignments
+                .iter()
+                .filter(|a| a.video.0 >= 20 && a.target == Target::Cdn)
+                .map(|a| a.count)
+                .sum();
+            assert_eq!(unheld_to_cdn, unheld, "budget {budget:?}: unheld videos go to the CDN");
+            if budget == Some(0) {
+                assert_eq!(stats.origin_spilled, actual.total_requests(), "zero budget spills all");
+            }
+        }
+    }
+
     /// SplitMix-style mixing, so a scenario's picks follow from its seeds.
     fn mix(a: u64, b: u64) -> u64 {
         let mut x = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -1978,6 +2102,9 @@ mod tests {
         /// random planned placements and a random liveness mask), here with
         /// the placements in planner rather than sorted order, a random
         /// effective subset of each placement, a chain budget and a radius.
+        /// Placements draw from the lowest `placed_share` of the catalogue,
+        /// so many demanded videos have no holder at all and settle
+        /// without a chain walk.
         #[test]
         fn prop_row_routing_matches_the_tree_reference(
             hotspots in 2usize..25,
@@ -1987,6 +2114,7 @@ mod tests {
             place_seed in 0u64..500,
             p_off in 0.0f64..=1.0,
             keep_share in 0.0f64..=1.0,
+            placed_share in 0.0f64..=1.0,
             with_effective in any::<bool>(),
             budget in prop::sample::select(vec![None, Some(0u64), Some(1), Some(2), Some(3)]),
             radius_km in prop::sample::select(vec![0.0, 1.5, 4.0]),
@@ -1999,14 +2127,13 @@ mod tests {
                 .with_slot_count(1)
                 .generate();
             let n = trace.hotspots.len();
+            let placed = ((videos as f64 * placed_share).ceil() as u64).max(1);
             let placements: Vec<Vec<VideoId>> = (0..n)
                 .map(|h| {
                     let cap = trace.hotspots[h].cache_capacity as usize;
                     let want = mix(place_seed, h as u64) as usize % (cap + 1);
                     let mut vids: Vec<VideoId> = (0..want)
-                        .map(|k| {
-                            VideoId((mix(place_seed, (h * 1_000 + k) as u64) % videos as u64) as u32)
-                        })
+                        .map(|k| VideoId((mix(place_seed, (h * 1_000 + k) as u64) % placed) as u32))
                         .collect();
                     vids.sort_unstable();
                     vids.dedup();

@@ -4,11 +4,13 @@
 //! id, so the per-slot stages that look videos up or combine two
 //! per-hotspot lists work on sorted rows instead of tree containers:
 //!
-//! - [`FlatRows`] stores one variable-length row per hotspot in a single
-//!   buffer (CSR layout). Placement validation and failover routing keep
-//!   each hotspot's cached videos as a sorted row and look them up with a
-//!   binary search; routing keeps each hotspot's radius neighbours as a
-//!   row in serving order.
+//! - [`FlatRows`] stores variable-length rows in a single buffer (CSR
+//!   layout). Placement validation keeps each hotspot's cached videos as
+//!   a sorted row and looks them up with a binary search. Failover
+//!   routing keeps each hotspot's radius neighbours as a row in serving
+//!   order, and each demanded video's holders as a row of hotspots
+//!   ([`FlatRows::holders`]), so a membership test searches a short row
+//!   and a video no hotspot holds is seen at once.
 //! - [`merge_join`] walks two video-sorted rows in one pass, which is how
 //!   forecast errors, demand shifts and the predictors' state updates
 //!   combine a hotspot's old and new lists.
@@ -52,20 +54,47 @@ impl<T: Copy> FlatRows<T> {
     }
 }
 
-impl FlatRows<VideoId> {
-    /// One sorted row per placement list.
-    pub(crate) fn sorted_videos(placements: &[Vec<VideoId>]) -> Self {
-        let total = placements.iter().map(Vec::len).sum();
-        let mut rows = FlatRows::with_capacity(placements.len(), total);
-        for placement in placements {
-            rows.push_row(placement.iter().copied()).sort_unstable();
-        }
-        rows
+impl<T: Copy + Ord> FlatRows<T> {
+    /// Whether the sorted row `row` holds `item`.
+    pub(crate) fn row_holds(&self, row: usize, item: T) -> bool {
+        self.row_at(row).binary_search(&item).is_ok()
     }
+}
 
-    /// Whether the sorted row `h` holds `video`.
-    pub(crate) fn row_holds(&self, h: usize, video: VideoId) -> bool {
-        self.row_at(h).binary_search(&video).is_ok()
+impl FlatRows<usize> {
+    /// Holder rows of one placement list per hotspot: row `v` lists, in
+    /// ascending order, the hotspots whose list places video `v`, for every
+    /// `v < videos`. A placed video at or above `videos` is left out, so
+    /// the index is sized by the caller's video range, not by the largest
+    /// id a scheme places. Built in one counting pass: count each video's
+    /// holders, then fill the rows in hotspot order.
+    pub(crate) fn holders(placements: &[Vec<VideoId>], videos: usize) -> Self {
+        // `spans[v]` first counts row `v`'s holders, then is its
+        // `(start, end)` with `end` advancing as the row fills.
+        let mut spans = vec![(0usize, 0usize); videos];
+        for v in placements.iter().flatten() {
+            if let Some(span) = <[(usize, usize)]>::get_mut(&mut spans, v.0 as usize) {
+                span.1 += 1;
+            }
+        }
+        let mut total = 0;
+        for span in &mut spans {
+            let count = span.1;
+            *span = (total, total);
+            total += count;
+        }
+        let mut items = vec![0usize; total];
+        for (h, placement) in placements.iter().enumerate() {
+            for v in placement {
+                if let Some(span) = <[(usize, usize)]>::get_mut(&mut spans, v.0 as usize) {
+                    if let Some(item) = <[usize]>::get_mut(&mut items, span.1) {
+                        *item = h;
+                    }
+                    span.1 += 1;
+                }
+            }
+        }
+        FlatRows { items, spans }
     }
 }
 
@@ -124,7 +153,43 @@ mod tests {
         assert!(rows.row_at(3).is_empty(), "past the last row");
     }
 
+    #[test]
+    fn holder_rows_list_each_videos_hotspots_in_order() {
+        let placements = vec![
+            vec![VideoId(2), VideoId(0)],
+            vec![],
+            vec![VideoId(0), VideoId(9)],
+            vec![VideoId(2)],
+        ];
+        let holders = FlatRows::holders(&placements, 4);
+        assert_eq!(holders.row_at(0), &[0, 2]);
+        assert!(holders.row_at(1).is_empty());
+        assert_eq!(holders.row_at(2), &[0, 3]);
+        assert!(holders.row_at(3).is_empty());
+        assert!(holders.row_at(9).is_empty(), "a video past the range is left out");
+        assert!(holders.row_holds(2, 3) && !holders.row_holds(2, 2));
+    }
+
     proptest! {
+        /// Holder rows answer every membership query a sorted placement
+        /// row does, for videos inside the range.
+        #[test]
+        fn prop_holder_rows_invert_the_placements(
+            raw in prop::collection::vec(prop::collection::btree_set(0u32..30, 0..8), 0..12),
+            videos in 0usize..40,
+        ) {
+            let placements: Vec<Vec<VideoId>> =
+                raw.iter().map(|set| set.iter().rev().copied().map(VideoId).collect()).collect();
+            let holders = FlatRows::holders(&placements, videos);
+            for v in 0..videos {
+                let want: Vec<usize> = (0..placements.len())
+                    .filter(|&h| raw[h].contains(&(v as u32)))
+                    .collect();
+                prop_assert_eq!(holders.row_at(v), &want[..], "video {}", v);
+            }
+            prop_assert!(holders.row_at(videos).is_empty());
+        }
+
         /// The join yields the union of both rows in video order, tagging
         /// each video with the rows that hold it.
         #[test]

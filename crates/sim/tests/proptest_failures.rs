@@ -86,7 +86,7 @@ proptest! {
             placements.iter().map(|p| p.iter().copied().collect()).collect();
 
         let (decision, stats) =
-            route_with_failover(&geometry, &demand, &service, &placements, &alive);
+            route_with_failover(&geometry, &demand, &service, &placements, &alive).unwrap();
 
         let mut served = 0u64;
         for a in &decision.assignments {
